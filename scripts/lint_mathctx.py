@@ -245,7 +245,7 @@ def scan_file(path: Path):
             if line not in allow_lines and not is_exempt(m.start()):
                 findings.append(
                     (line, "raw std::fma in kernel body (use math.fma / "
-                           "math.faulty_fma / math.fma_row)")
+                           "math.faulty_fma / math.accumulate_panel)")
                 )
 
         depth = 0  # subscript depth: index arithmetic inside [...] is fine

@@ -1,5 +1,7 @@
 #include "abft/checksum.hpp"
 
+#include <algorithm>
+
 namespace aabft::abft {
 
 using linalg::Matrix;
@@ -46,9 +48,11 @@ Matrix PartitionedCodec::strip(const Matrix& c_fc) const {
   const std::size_t m = c_fc.rows() / (bs_ + 1) * bs_;
   const std::size_t q = c_fc.cols() / (bs_ + 1) * bs_;
   Matrix out(m, q, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < q; ++j)
-      out(i, j) = c_fc(enc_index(i), enc_index(j));
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* src = c_fc.data() + enc_index(i) * c_fc.cols();
+    for (std::size_t j = 0; j < q; j += bs_, src += bs_ + 1)
+      std::copy_n(src, bs_, out.data() + i * q + j);
+  }
   return out;
 }
 

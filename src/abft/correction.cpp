@@ -117,11 +117,10 @@ void recompute_blocks(gpusim::Launcher& launcher, Matrix& c_fc,
       for (std::size_t t = 0; t < k_dim; ++t) b_col[t] = b_rc(t, col0 + j);
       ctx.math.load_doubles(k_dim);
       for (std::size_t i = 0; i <= bs; ++i) {
-        const double* a_row = a_cc.row(row0 + i).data();
         ctx.math.load_doubles(k_dim);
-        const double value =
-            gemm.use_fma ? ctx.math.dot_fma(a_row, b_col.data(), k_dim, 0.0)
-                         : ctx.math.dot_mul_add(a_row, b_col.data(), k_dim, 0.0);
+        double value = 0.0;
+        ctx.math.accumulate_panel(a_cc.row(row0 + i).data(), b_col.data(),
+                                  &value, 1, 1, k_dim, k_dim, gemm.use_fma);
         c_fc(row0 + i, col0 + j) = value;
         ctx.math.store_doubles(1);
       }

@@ -6,21 +6,16 @@
 #include <vector>
 
 #include "core/require.hpp"
-#include "gpusim/fault_site.hpp"
 #include "gpusim/hazard.hpp"
+#include "linalg/matmul.hpp"
 
 namespace aabft::abft {
 
 using gpusim::BlockCtx;
 using gpusim::Dim3;
-using gpusim::FaultSite;
 using linalg::Matrix;
 
 namespace {
-
-constexpr std::size_t ceil_div(std::size_t a, std::size_t b) noexcept {
-  return (a + b - 1) / b;
-}
 
 /// Slack factor of the online panel screen. The screen is a coarse
 /// detector, not the paper's bound: it must never fire on pure rounding
@@ -191,8 +186,8 @@ FusedProduct fused_encode_matmul(gpusim::Launcher& launcher, const Matrix& a,
   const std::size_t bm = bs + 1;
   const std::size_t bn = bs + 1;
   const std::size_t bk = config.bk;
-  const std::size_t rx = config.rx;
-  const std::size_t ry = config.ry;
+  const linalg::GemmConfig tile{bm, bn, bk, config.rx, config.ry,
+                                config.use_fma};
   const int t_bits =
       launcher.precision() == gpusim::Precision::kSingle ? 23 : 52;
 
@@ -221,22 +216,13 @@ FusedProduct fused_encode_matmul(gpusim::Launcher& launcher, const Matrix& a,
     const int num_threads = static_cast<int>(bn);
     blk.hazard.set_thread_count(num_threads);
 
-    std::vector<int> module_row(bm);
-    std::vector<int> module_col(bn);
-    for (std::size_t i = 0; i < bm; ++i)
-      module_row[i] = static_cast<int>((i % rx) * ry);
-    for (std::size_t j = 0; j < bn; ++j)
-      module_col[j] = static_cast<int>(j % ry);
-    const int num_modules = static_cast<int>(rx * ry);
-    std::vector<char> row_hot(bm, 0);
+    const std::size_t num_panels = (k_dim + bk - 1) / bk;
 
-    const std::size_t num_panels = ceil_div(k_dim, bk);
-
-    // Stage and accumulate one K panel — the blocked kernel's fence/per-op
-    // structure verbatim, except that the encoded operands are staged
-    // virtually: data rows/columns from a and b, checksum rows/columns from
-    // the compact light-encode sums. Returns k progressed so far.
-    const auto accumulate_panel = [&](std::size_t panel) {
+    // Stage and accumulate one K panel through the blocked kernel's panel
+    // step. The encoded operands are staged virtually: data rows/columns
+    // from a and b, checksum rows/columns from the compact light-encode
+    // sums. Returns k progressed so far.
+    const auto stage_and_accumulate = [&](std::size_t panel) {
       const std::size_t kbase = panel * bk;
       const std::size_t k_count = std::min(bk, k_dim - kbase);
 
@@ -266,48 +252,8 @@ FusedProduct fused_encode_matmul(gpusim::Launcher& launcher, const Matrix& a,
         blk.hazard.sync_threads();
       }
 
-      const auto k_lo = static_cast<std::int64_t>(kbase);
-      const auto k_hi = static_cast<std::int64_t>(kbase + k_count - 1);
-      const bool panel_hot =
-          math.needs_instrumented(FaultSite::kInnerMul, FaultSite::kInnerAdd,
-                                  0, num_modules - 1, k_lo, k_hi);
-      if (panel_hot) {
-        for (std::size_t i = 0; i < bm; ++i)
-          row_hot[i] = math.needs_instrumented(
-              FaultSite::kInnerMul, FaultSite::kInnerAdd, module_row[i],
-              module_row[i] + static_cast<int>(ry) - 1, k_lo, k_hi);
-      }
-
-      for (std::size_t kk = 0; kk < k_count; ++kk) {
-        const auto k_global = static_cast<std::int64_t>(kbase + kk);
-        for (std::size_t i = 0; i < bm; ++i) {
-          const double av = sm_a[i * bk + kk];
-          const int mrow = module_row[i];
-          double* acc_row = accum.data() + i * bn;
-          const double* b_row = sm_b.data() + kk * bn;
-          if (!panel_hot || !row_hot[i]) {
-            if (config.use_fma)
-              math.fma_row(av, b_row, acc_row, bn);
-            else
-              math.mul_add_row(av, b_row, acc_row, bn);
-          } else if (config.use_fma) {
-            for (std::size_t j = 0; j < bn; ++j) {
-              acc_row[j] = math.faulty_fma(av, b_row[j], acc_row[j],
-                                           FaultSite::kInnerAdd,
-                                           mrow + module_col[j], k_global);
-            }
-          } else {
-            for (std::size_t j = 0; j < bn; ++j) {
-              const int module = mrow + module_col[j];
-              const double prod = math.faulty_mul(
-                  av, b_row[j], FaultSite::kInnerMul, module, k_global);
-              acc_row[j] = math.faulty_add(acc_row[j], prod,
-                                           FaultSite::kInnerAdd, module,
-                                           k_global);
-            }
-          }
-        }
-      }
+      linalg::panel_step(math, tile, sm_a.data(), sm_b.data(), accum.data(),
+                         kbase, k_count);
 
       if (blk.hazard.enabled()) {
         for (std::size_t i = 0; i < bm; ++i)
@@ -359,7 +305,7 @@ FusedProduct fused_encode_matmul(gpusim::Launcher& launcher, const Matrix& a,
     std::size_t tile_detections = 0;
     std::size_t tile_replays = 0;
     for (std::size_t panel = 0; panel < num_panels; ++panel) {
-      const std::size_t k_so_far = accumulate_panel(panel);
+      const std::size_t k_so_far = stage_and_accumulate(panel);
       const bool check_due = (panel + 1) % config.check_stride == 0 ||
                              panel + 1 == num_panels;
       if (!check_due || screen(k_so_far)) continue;
@@ -374,7 +320,7 @@ FusedProduct fused_encode_matmul(gpusim::Launcher& launcher, const Matrix& a,
         ++tile_replays;
         std::size_t replayed_k = 0;
         for (std::size_t p2 = 0; p2 <= panel; ++p2)
-          replayed_k = accumulate_panel(p2);
+          replayed_k = stage_and_accumulate(p2);
         if (screen(replayed_k)) break;
         ++tile_detections;  // the replay itself was hit (or damage persists)
       }
@@ -382,23 +328,8 @@ FusedProduct fused_encode_matmul(gpusim::Launcher& launcher, const Matrix& a,
 
     // Final merge into the zero-initialised C_fc (tiles are always interior:
     // encoded extents are multiples of BS+1).
-    const bool merge_hot = math.needs_instrumented(
-        FaultSite::kFinalAdd, FaultSite::kFinalAdd, 0, num_modules - 1, 0, 0);
-    if (!merge_hot) {
-      for (std::size_t i = 0; i < bm; ++i)
-        math.add_rows(c.data() + (er0 + i) * c.cols() + ec0,
-                      accum.data() + i * bn, bn);
-    } else {
-      for (std::size_t i = 0; i < bm; ++i) {
-        for (std::size_t j = 0; j < bn; ++j) {
-          const int module = module_row[i] + module_col[j];
-          c(er0 + i, ec0 + j) =
-              math.faulty_add(c(er0 + i, ec0 + j), accum[i * bn + j],
-                              FaultSite::kFinalAdd, module, 0);
-        }
-      }
-    }
-    math.store_doubles(bm * bn);
+    linalg::merge_tile(math, tile, accum.data(),
+                       c.data() + er0 * c.cols() + ec0, c.cols(), bm, bn);
 
     if (tile_detections > 0)
       detections.fetch_add(tile_detections, std::memory_order_relaxed);

@@ -41,16 +41,14 @@ GemvResult ProtectedGemv::multiply(const std::vector<double>& x) {
       math.load_doubles(cols_ + (r == 0 ? cols_ : 0));  // row + x (once)
       double acc = 0.0;
       // Fault fence over the whole row (all ops use module 0 and the k-index
-      // of the column): the fenced dot helpers are bit-identical to the
-      // per-op chain below.
+      // of the column): the fenced row, a 1 x 1 panel, is bit-identical to
+      // the per-op chain below.
       const bool row_hot = math.needs_instrumented(
           FaultSite::kInnerMul, FaultSite::kInnerAdd, 0, 0, 0,
           static_cast<std::int64_t>(cols_) - 1);
       if (!row_hot) {
-        const double* a_row = a_cc_.data.row(r).data();
-        acc = config_.gemm.use_fma
-                  ? math.dot_fma(a_row, x.data(), cols_, acc)
-                  : math.dot_mul_add(a_row, x.data(), cols_, acc);
+        math.accumulate_panel(a_cc_.data.row(r).data(), x.data(), &acc, 1, 1,
+                              cols_, cols_, config_.gemm.use_fma);
       } else {
         for (std::size_t k = 0; k < cols_; ++k) {
           const auto kk = static_cast<std::int64_t>(k);

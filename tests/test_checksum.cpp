@@ -113,6 +113,14 @@ TEST(Codec, StripInvertsEncodeLayout) {
   EXPECT_EQ(full.cols(), 10u);
   const Matrix stripped = codec.strip(full);
   EXPECT_EQ(stripped, a);
+
+  const PartitionedCodec codec3(3);
+  const Matrix wide = uniform_matrix(6, 9, -1.0, 1.0, rng);
+  const Matrix wide_full =
+      codec3.encode_rows_host(codec3.encode_columns_host(wide));
+  EXPECT_EQ(wide_full.rows(), 8u);
+  EXPECT_EQ(wide_full.cols(), 12u);
+  EXPECT_EQ(codec3.strip(wide_full), wide);
 }
 
 TEST(Codec, StripRejectsWrongShape) {

@@ -342,9 +342,10 @@ TEST(FleetServer, ForceFailedDeviceReplaysAndReconstructsOperands) {
         << resp.response.diagnosis;
     EXPECT_EQ(resp.response.c, ref)
         << "zero wrong responses across a device loss";
-    if (post_fence)
+    if (post_fence) {
       EXPECT_NE(resp.shard, 0u)
           << "post-fence results must not come from the fenced device";
+    }
     any_reconstructed |= resp.operands_reconstructed;
   };
   // Pre-fence responses may have been trustworthily served by shard 0

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -140,6 +144,65 @@ TEST(MathCtx, FaultyOpsComputeCorrectlyWithoutController) {
   EXPECT_EQ(math.counters().muls, 1u);
   EXPECT_EQ(math.counters().adds, 1u);
   EXPECT_EQ(math.counters().fmas, 1u);
+}
+
+// The fenced panel helper must equal the per-op chain of every element, bit
+// for bit and counter for counter: both precisions, both accumulation modes,
+// extents that are not register-tile multiples, and one-step (k = 1) panels.
+// Staged values past k_count are NaN, so reading them would show.
+TEST(MathCtx, AccumulatePanelMatchesPerOpChain) {
+  struct Shape {
+    std::size_t rows, cols, bk, k_count;
+  };
+  const Shape shapes[] = {{4, 4, 8, 8},   {9, 7, 5, 5},   {6, 10, 3, 1},
+                          {33, 33, 32, 17}, {1, 1, 1, 1}, {5, 3, 4, 1},
+                          {2, 13, 6, 4}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t seed = 1;
+  const auto next = [&seed] {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double unit = static_cast<double>(seed >> 11) * 0x1.0p-53;
+    // Spread magnitudes over 2^-20..2^20 so the roundings differ per op.
+    return std::ldexp(unit - 0.5, static_cast<int>(seed % 41) - 20);
+  };
+  for (const auto precision : {Precision::kDouble, Precision::kSingle}) {
+    for (const bool use_fma : {false, true}) {
+      for (const Shape& s : shapes) {
+        std::vector<double> a(s.rows * s.bk, nan);
+        std::vector<double> b(s.bk * s.cols, nan);
+        std::vector<double> acc(s.rows * s.cols);
+        for (std::size_t i = 0; i < s.rows; ++i)
+          for (std::size_t kk = 0; kk < s.k_count; ++kk)
+            a[i * s.bk + kk] = next();
+        for (std::size_t kk = 0; kk < s.k_count; ++kk)
+          for (std::size_t j = 0; j < s.cols; ++j) b[kk * s.cols + j] = next();
+        MathCtx ref(0, nullptr, precision);
+        for (double& v : acc) v = ref.canonical(next());
+        std::vector<double> want = acc;
+        for (std::size_t i = 0; i < s.rows; ++i) {
+          for (std::size_t j = 0; j < s.cols; ++j) {
+            double& e = want[i * s.cols + j];
+            for (std::size_t kk = 0; kk < s.k_count; ++kk) {
+              const double av = a[i * s.bk + kk];
+              const double bv = b[kk * s.cols + j];
+              e = use_fma ? ref.fma(av, bv, e) : ref.add(e, ref.mul(av, bv));
+            }
+          }
+        }
+        MathCtx fast(0, nullptr, precision);
+        fast.accumulate_panel(a.data(), b.data(), acc.data(), s.rows, s.cols,
+                              s.bk, s.k_count, use_fma);
+        for (std::size_t e = 0; e < acc.size(); ++e)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(acc[e]),
+                    std::bit_cast<std::uint64_t>(want[e]))
+              << "element " << e << " of " << s.rows << "x" << s.cols
+              << " k=" << s.k_count << " fma=" << use_fma;
+        EXPECT_EQ(ref.counters().fmas, fast.counters().fmas);
+        EXPECT_EQ(ref.counters().muls, fast.counters().muls);
+        EXPECT_EQ(ref.counters().adds, fast.counters().adds);
+      }
+    }
+  }
 }
 
 TEST(PerfCounters, FlopAccounting) {

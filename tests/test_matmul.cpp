@@ -79,7 +79,11 @@ INSTANTIATE_TEST_SUITE_P(
         BlockingCase{{32, 32, 8, 4, 4, false}, 33, 65, 17},   // ragged edges
         BlockingCase{{32, 32, 8, 4, 4, true}, 7, 130, 61},    // ragged + fma
         BlockingCase{{64, 16, 8, 4, 2, false}, 100, 50, 30},  // asymmetric tiles
-        BlockingCase{{4, 4, 2, 2, 2, false}, 5, 5, 5}));
+        BlockingCase{{4, 4, 2, 2, 2, false}, 5, 5, 5},
+        // Tiles that are not multiples of the panel helper's register tile.
+        BlockingCase{{6, 10, 3, 2, 5, false}, 14, 11, 23},
+        BlockingCase{{9, 15, 5, 3, 5, true}, 25, 13, 41},
+        BlockingCase{{33, 33, 7, 3, 3, false}, 70, 29, 68}));
 
 TEST(BlockedMatmul, CountsGemmFlops) {
   Rng rng(3);
