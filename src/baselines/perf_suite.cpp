@@ -61,7 +61,8 @@ std::vector<gpusim::LaunchStats> project_log(
   };
   std::vector<gpusim::LaunchStats> out = log;
   for (auto& entry : out) {
-    const bool cubic = entry.kernel_name.starts_with("gemm");
+    const bool cubic = gpusim::classify_kernel(entry.kernel_name) ==
+                       gpusim::KernelClass::kGemm;
     const double flop_factor = cubic ? r3 : r2;
     entry.counters.adds = scale(entry.counters.adds, flop_factor);
     entry.counters.muls = scale(entry.counters.muls, flop_factor);

@@ -1,27 +1,20 @@
 #include "baselines/scheme_timing.hpp"
 
-#include <string_view>
-
 namespace aabft::baselines {
 
 SchemeTiming price_launch_log(const gpusim::DeviceSpec& device,
                               const std::vector<gpusim::LaunchStats>& log) {
   SchemeTiming timing;
   for (const auto& entry : log) {
-    const std::string_view name = entry.kernel_name;
-    if (name == "gemm") {
-      timing.gemm_seconds +=
-          gpusim::kernel_seconds(device, entry.counters, gpusim::gemm_profile());
-    } else if (name.starts_with("reduce_pmax")) {
-      timing.overlapped_seconds += gpusim::kernel_seconds(
-          device, entry.counters, gpusim::reduction_profile());
-    } else if (name == "row_norms" || name == "col_norms") {
-      timing.overhead_seconds += gpusim::kernel_seconds(
-          device, entry.counters, gpusim::reduction_profile());
-    } else {
-      timing.overhead_seconds += gpusim::kernel_seconds(
-          device, entry.counters, gpusim::streaming_profile());
-    }
+    const gpusim::KernelClass kind = gpusim::classify_kernel(entry.kernel_name);
+    const double seconds = gpusim::kernel_seconds(device, entry.counters,
+                                                  gpusim::profile_of(kind));
+    if (kind == gpusim::KernelClass::kGemm)
+      timing.gemm_seconds += seconds;
+    else if (kind == gpusim::KernelClass::kPmaxReduction)
+      timing.overlapped_seconds += seconds;
+    else
+      timing.overhead_seconds += seconds;
   }
   return timing;
 }

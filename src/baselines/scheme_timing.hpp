@@ -26,11 +26,11 @@ struct SchemeTiming {
   }
 };
 
-/// Price a launch log. Kernel classes (by name):
-///   gemm                         — GEMM profile
-///   reduce_pmax_*                — reduction profile, overlapped with GEMM
-///   row_norms / col_norms        — reduction profile (SEA's penalty)
-///   everything else              — streaming (bandwidth-bound) profile
+/// Price a launch log, each kernel with the profile of its
+/// gpusim::classify_kernel class: gemm* kernels add to gemm_seconds,
+/// reduce_pmax_* kernels to overlapped_seconds and every other kernel
+/// (encode, check, vote; SEA's norms and the p-max scans at the reduction
+/// profile) to overhead_seconds.
 [[nodiscard]] SchemeTiming price_launch_log(
     const gpusim::DeviceSpec& device,
     const std::vector<gpusim::LaunchStats>& log);

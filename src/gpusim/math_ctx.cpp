@@ -1,67 +1,167 @@
 #include "gpusim/math_ctx.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 namespace aabft::gpusim {
 
 namespace {
 
-// Register tile of the panel micro-kernel (DESIGN.md §4.9): its 16 doubles
-// fit eight SSE2 registers beside the broadcast A value and the B row.
+// One column pair per SSE2 register, and the same pair rounded to binary32.
+// GCC/Clang generic vectors: plain C++ operators compile to mulpd/addpd, and
+// -ffp-contract=off keeps a * b + c unfused.
+using f64x2 = double __attribute__((vector_size(16)));
+using f32x2 = float __attribute__((vector_size(8)));
+
+// Register tile of the panel micro-kernel (DESIGN.md §4.9): 4 rows of two
+// column pairs, 8 accumulator registers beside the broadcast A value and the
+// two B pairs of the current k step.
 constexpr std::size_t kTileRows = 4;
 constexpr std::size_t kTileCols = 4;
 
-/// One multiply-accumulate, rounded exactly like MathCtx's per-op fma or
-/// mul-then-add (to binary32 after each op when kSingle).
-template <bool kSingle, bool kFma>
-[[nodiscard]] inline double mac(double a, double b, double acc) noexcept {
-  if constexpr (kFma && kSingle)
-    return std::fmaf(static_cast<float>(a), static_cast<float>(b),
-                     static_cast<float>(acc));
-  else if constexpr (kFma)
-    return std::fma(a, b, acc);
-  else if constexpr (kSingle)
-    return static_cast<float>(acc + static_cast<float>(a * b));
+// K steps whose A values a row strip broadcasts into column pairs at once
+// (4 KB of stack for a 4-row strip): every tile of the strip then loads its
+// broadcasts instead of shuffling them again.
+constexpr std::size_t kPackSteps = 64;
+
+/// The first `lanes` (1 or 2) doubles at p as a column pair; a missing high
+/// lane reads zero.
+[[nodiscard]] inline f64x2 load_pair(const double* p,
+                                     std::size_t lanes) noexcept {
+  f64x2 v{};
+  if (lanes == 2)
+    std::memcpy(&v, p, sizeof v);
   else
-    return acc + a * b;
+    v[0] = *p;
+  return v;
 }
+
+inline void store_pair(double* p, f64x2 v, std::size_t lanes) noexcept {
+  if (lanes == 2)
+    std::memcpy(p, &v, sizeof v);
+  else
+    *p = v[0];
+}
+
+[[nodiscard]] inline f64x2 round_binary32(f64x2 x) noexcept {
+  return __builtin_convertvector(__builtin_convertvector(x, f32x2), f64x2);
+}
+
+/// One multiply-accumulate on each of the first `lanes` lanes, rounded
+/// exactly like MathCtx's per-op fma or mul-then-add (to binary32 after each
+/// op when kSingle).
+template <bool kSingle, bool kFma>
+[[nodiscard]] inline f64x2 mac(f64x2 a, f64x2 b, f64x2 acc,
+                               std::size_t lanes) noexcept {
+  if constexpr (kFma) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      if constexpr (kSingle)
+        acc[l] = std::fmaf(static_cast<float>(a[l]), static_cast<float>(b[l]),
+                           static_cast<float>(acc[l]));
+      else
+        acc[l] = std::fma(a[l], b[l], acc[l]);
+    }
+    return acc;
+  } else if constexpr (kSingle) {
+    return round_binary32(acc + round_binary32(a * b));
+  } else {
+    return acc + a * b;
+  }
+}
+
+/// The A values of a row strip, broadcast into a column pair per k step:
+/// read in place (rows of stride bk) ...
+struct StridedA {
+  const double* a;
+  std::size_t bk;
+  [[nodiscard]] f64x2 operator()(std::size_t r, std::size_t kk) const noexcept {
+    const double x = a[r * bk + kk];
+    return f64x2{x, x};
+  }
+};
+
+/// ... or from pairs broadcast beforehand, k-major.
+template <std::size_t R>
+struct PackedA {
+  const f64x2* ap;
+  [[nodiscard]] f64x2 operator()(std::size_t r, std::size_t kk) const noexcept {
+    return ap[kk * R + r];
+  }
+};
 
 /// An R x C block of the accumulator tile (row stride ld), held in registers
-/// across the panel's k_count steps; A rows have stride bk, B rows stride ld.
-/// The pragmas make -O2 unroll fully, which keeps t out of memory.
-template <bool kSingle, bool kFma, std::size_t R, std::size_t C>
-void micro_tile(const double* __restrict a, const double* __restrict b,
-                double* __restrict acc, std::size_t ld, std::size_t bk,
-                std::size_t k_count) noexcept {
-  double t[R][C];
-#pragma GCC unroll 4
+/// as column pairs across k_count steps; a gives the broadcast A values, b
+/// the B rows (stride ld). Each k step updates every pair with one vector
+/// mac per row, so each lane keeps its element's ascending-k chain. An odd C
+/// leaves the last pair's high lane zero and never stores it. The pragmas
+/// make -O2 unroll fully, which keeps t out of memory and makes every lane
+/// count a constant.
+template <bool kSingle, bool kFma, std::size_t R, std::size_t C, class A>
+void tile(const A& a, const double* __restrict b, double* __restrict acc,
+          std::size_t ld, std::size_t k_count) noexcept {
+  constexpr std::size_t P = (C + 1) / 2;
+  const auto lanes = [](std::size_t p) { return 2 * p + 1 < C ? 2 : 1; };
+  f64x2 t[R][P];
+#pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r)
-#pragma GCC unroll 4
-    for (std::size_t c = 0; c < C; ++c) t[r][c] = acc[r * ld + c];
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < P; ++p)
+      t[r][p] = load_pair(acc + r * ld + 2 * p, lanes(p));
   for (std::size_t kk = 0; kk < k_count; ++kk) {
-    const double* __restrict b_row = b + kk * ld;
-#pragma GCC unroll 4
+    f64x2 bv[P];
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < P; ++p)
+      bv[p] = load_pair(b + kk * ld + 2 * p, lanes(p));
+#pragma GCC unroll 8
     for (std::size_t r = 0; r < R; ++r) {
-      const double av = a[r * bk + kk];
-#pragma GCC unroll 4
-      for (std::size_t c = 0; c < C; ++c)
-        t[r][c] = mac<kSingle, kFma>(av, b_row[c], t[r][c]);
+      const f64x2 av = a(r, kk);
+#pragma GCC unroll 8
+      for (std::size_t p = 0; p < P; ++p)
+        t[r][p] = mac<kSingle, kFma>(av, bv[p], t[r][p], lanes(p));
     }
   }
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r)
-#pragma GCC unroll 4
-    for (std::size_t c = 0; c < C; ++c) acc[r * ld + c] = t[r][c];
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < P; ++p)
+      store_pair(acc + r * ld + 2 * p, t[r][p], lanes(p));
 }
 
-/// R rows of the panel: whole register tiles, then one column at a time.
+/// The tiles of an R-row strip: whole register tiles, then the column tail
+/// as pairs and a last single column.
+template <bool kSingle, bool kFma, std::size_t R, class A>
+void strip_tiles(const A& a, const double* b, double* acc, std::size_t cols,
+                 std::size_t k_count) noexcept {
+  std::size_t j = 0;
+  for (; j + kTileCols <= cols; j += kTileCols)
+    tile<kSingle, kFma, R, kTileCols>(a, b + j, acc + j, cols, k_count);
+  for (; j + 2 <= cols; j += 2)
+    tile<kSingle, kFma, R, 2>(a, b + j, acc + j, cols, k_count);
+  if (j < cols) tile<kSingle, kFma, R, 1>(a, b + j, acc + j, cols, k_count);
+}
+
+/// R rows of the panel (A rows of stride bk). A strip of one tile (a dot
+/// product, a narrow panel) reads A in place; a wider one broadcasts its A
+/// values kPackSteps k steps at a time, which every tile then loads. Every
+/// element still sees its k steps in ascending order.
 template <bool kSingle, bool kFma, std::size_t R>
 void row_strip(const double* a, const double* b, double* acc,
                std::size_t cols, std::size_t bk, std::size_t k_count) noexcept {
-  std::size_t j = 0;
-  for (; j + kTileCols <= cols; j += kTileCols)
-    micro_tile<kSingle, kFma, R, kTileCols>(a, b + j, acc + j, cols, bk,
-                                            k_count);
-  for (; j < cols; ++j)
-    micro_tile<kSingle, kFma, R, 1>(a, b + j, acc + j, cols, bk, k_count);
+  if (cols <= kTileCols) {
+    strip_tiles<kSingle, kFma, R>(StridedA{a, bk}, b, acc, cols, k_count);
+    return;
+  }
+  f64x2 ap[kPackSteps * R];
+  for (std::size_t k0 = 0; k0 < k_count; k0 += kPackSteps) {
+    const std::size_t steps = std::min(kPackSteps, k_count - k0);
+    for (std::size_t kk = 0; kk < steps; ++kk)
+      for (std::size_t r = 0; r < R; ++r) {
+        const double ar = a[r * bk + k0 + kk];
+        ap[kk * R + r] = f64x2{ar, ar};
+      }
+    strip_tiles<kSingle, kFma, R>(PackedA<R>{ap}, b + k0 * cols, acc, cols,
+                                  steps);
+  }
 }
 
 template <bool kSingle, bool kFma>

@@ -159,9 +159,9 @@ class MathCtx {
   ///   acc[i*cols + j] = fma(a[i*bk + kk], b[kk*cols + j], acc[i*cols + j])
   /// with use_fma, else round(acc + round(a * b)): each element's per-op
   /// fma (or mul, add) chain, bit for bit in this context's precision.
-  /// Runs as a fixed register tile that keeps its accumulators out of memory
-  /// for the whole panel (math_ctx.cpp); counts rows*cols*k_count FMAs (or
-  /// muls + adds) in bulk.
+  /// Runs as fixed register tiles of explicit column-pair vectors that keep
+  /// their accumulators out of memory for the whole panel (math_ctx.cpp);
+  /// counts rows*cols*k_count FMAs (or muls + adds) in bulk.
   void accumulate_panel(const double* a, const double* b, double* acc,
                         std::size_t rows, std::size_t cols, std::size_t bk,
                         std::size_t k_count, bool use_fma) noexcept;

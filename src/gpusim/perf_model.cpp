@@ -7,6 +7,27 @@
 
 namespace aabft::gpusim {
 
+KernelClass classify_kernel(std::string_view name) noexcept {
+  if (name.starts_with("gemm")) return KernelClass::kGemm;
+  if (name.starts_with("reduce_pmax")) return KernelClass::kPmaxReduction;
+  if (name == "row_norms" || name == "col_norms" || name.starts_with("pmax_"))
+    return KernelClass::kReduction;
+  return KernelClass::kStreaming;
+}
+
+EfficiencyProfile profile_of(KernelClass kind) {
+  switch (kind) {
+    case KernelClass::kGemm:
+      return gemm_profile();
+    case KernelClass::kPmaxReduction:
+    case KernelClass::kReduction:
+      return reduction_profile();
+    case KernelClass::kStreaming:
+      break;
+  }
+  return streaming_profile();
+}
+
 double kernel_seconds(const DeviceSpec& device, const PerfCounters& counters,
                       const EfficiencyProfile& profile) {
   AABFT_REQUIRE(profile.compute_fraction > 0 && profile.mem_efficiency > 0,

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "gpusim/device.hpp"
 #include "gpusim/perf_counters.hpp"
@@ -63,6 +64,22 @@ struct EfficiencyProfile {
 [[nodiscard]] inline EfficiencyProfile reduction_profile() {
   return {.compute_fraction = 0.002, .mem_efficiency = 0.04, .half_extent = 0.0};
 }
+
+/// Cost class of a kernel, chosen by its launch name. Table I's pricing
+/// (baselines::price_launch_log), its size projection
+/// (baselines::project_log) and the per-kernel profile report all classify
+/// through classify_kernel.
+enum class KernelClass : std::uint8_t {
+  kGemm,           ///< gemm*: the O(n^3) product (classic, fused, pairwise)
+  kPmaxReduction,  ///< reduce_pmax*: runs in parallel to the GEMM (V-A)
+  kReduction,      ///< row_norms, col_norms and the pmax_* scans
+  kStreaming,      ///< everything else: encode, check, vote, GEMV
+};
+
+[[nodiscard]] KernelClass classify_kernel(std::string_view name) noexcept;
+
+/// The efficiency profile a kernel class is priced with.
+[[nodiscard]] EfficiencyProfile profile_of(KernelClass kind);
 
 /// Estimated execution time in seconds of one kernel launch. Comparisons are
 /// charged like flops (they occupy the same issue slots).

@@ -7,18 +7,6 @@
 
 namespace aabft::gpusim {
 
-namespace {
-
-EfficiencyProfile profile_for(const std::string& name) {
-  if (name.starts_with("gemm")) return gemm_profile();
-  if (name.starts_with("reduce_pmax") || name == "row_norms" ||
-      name == "col_norms" || name.starts_with("pmax_"))
-    return reduction_profile();
-  return streaming_profile();
-}
-
-}  // namespace
-
 std::vector<KernelProfile> profile_launch_log(
     const DeviceSpec& device, const std::vector<LaunchStats>& log) {
   std::vector<KernelProfile> profiles;
@@ -35,7 +23,8 @@ std::vector<KernelProfile> profile_launch_log(
     p.blocks += entry.blocks;
     p.counters += entry.counters;
     p.modelled_seconds +=
-        kernel_seconds(device, entry.counters, profile_for(entry.kernel_name));
+        kernel_seconds(device, entry.counters,
+                       profile_of(classify_kernel(entry.kernel_name)));
   }
   return profiles;
 }

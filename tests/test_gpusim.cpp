@@ -148,58 +148,110 @@ TEST(MathCtx, FaultyOpsComputeCorrectlyWithoutController) {
 
 // The fenced panel helper must equal the per-op chain of every element, bit
 // for bit and counter for counter: both precisions, both accumulation modes,
-// extents that are not register-tile multiples, and one-step (k = 1) panels.
-// Staged values past k_count are NaN, so reading them would show.
+// every row and column remainder modulo the 4x4 register tile, one-step
+// (k = 1) panels, panels longer than one 64-step broadcast chunk, and special
+// values. Staged values past k_count are NaN, so
+// reading them would show.
 TEST(MathCtx, AccumulatePanelMatchesPerOpChain) {
   struct Shape {
     std::size_t rows, cols, bk, k_count;
   };
-  const Shape shapes[] = {{4, 4, 8, 8},   {9, 7, 5, 5},   {6, 10, 3, 1},
-                          {33, 33, 32, 17}, {1, 1, 1, 1}, {5, 3, 4, 1},
-                          {2, 13, 6, 4}};
+  std::vector<Shape> shapes = {{4, 4, 8, 8},   {9, 7, 5, 5},   {6, 10, 3, 1},
+                               {33, 33, 32, 17}, {1, 1, 1, 1}, {5, 3, 4, 1},
+                               {2, 13, 6, 4},  {5, 6, 130, 130},
+                               {1, 1, 300, 300}};
+  for (std::size_t rows = 1; rows <= 8; ++rows)
+    for (std::size_t cols = 1; cols <= 8; ++cols)
+      shapes.push_back({rows, cols, 4, 3});
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::uint64_t seed = 1;
-  const auto next = [&seed] {
+  const auto draw = [&seed] {
     seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-    const double unit = static_cast<double>(seed >> 11) * 0x1.0p-53;
-    // Spread magnitudes over 2^-20..2^20 so the roundings differ per op.
-    return std::ldexp(unit - 0.5, static_cast<int>(seed % 41) - 20);
+    return seed >> 11;
   };
-  for (const auto precision : {Precision::kDouble, Precision::kSingle}) {
-    for (const bool use_fma : {false, true}) {
-      for (const Shape& s : shapes) {
-        std::vector<double> a(s.rows * s.bk, nan);
-        std::vector<double> b(s.bk * s.cols, nan);
-        std::vector<double> acc(s.rows * s.cols);
-        for (std::size_t i = 0; i < s.rows; ++i)
+  // Spread magnitudes over 2^-20..2^20 so the roundings differ per op.
+  const auto ordinary = [&draw] {
+    const std::uint64_t bits = draw();
+    const double unit = static_cast<double>(bits) * 0x1.0p-53;
+    return std::ldexp(unit - 0.5, static_cast<int>(bits % 41) - 20);
+  };
+  // Special values per precision: signed zeros, subnormals, products that
+  // underflow, and in binary32 ones that underflow only when rounded to
+  // float. A product of two `huge` values overflows to Inf (in binary32
+  // only when rounded to float); with any other value it stays finite, and
+  // so do sums of those. Huge A entries take the sign s_i t_k and huge B
+  // entries t_k u_j, so an element's chain only ever overflows to the one
+  // Inf of sign s_i u_j, and no input is Inf: no Inf * 0 or Inf - Inf, whose
+  // NaN payloads are not part of the contract.
+  struct Specials {
+    std::vector<double> finite, huge;
+  };
+  const Specials double_specials{
+      {0.0, -0.0, 0x1p-1074, -0x1p-1060, 0x1.8p-1030, 0x1p-600, -0x1p-530,
+       1.0, -0.75},
+      {0x1p600, 0x1.8p700}};
+  const Specials single_specials{
+      {0.0, -0.0, 0x1p-149, -0x1p-140, 0x1.8p-130, 0x1p-70, -0x1p-80, 1.0,
+       -0.75},
+      {0x1p100, 0x1.8p110}};
+  const auto sign = [&draw] { return draw() % 2 == 0 ? 1.0 : -1.0; };
+
+  for (const bool special : {false, true}) {
+    for (const auto precision : {Precision::kDouble, Precision::kSingle}) {
+      const Specials& sp =
+          precision == Precision::kDouble ? double_specials : single_specials;
+      const auto pick = [&](double huge_sign) {
+        if (!special) return ordinary();
+        const std::uint64_t bits = draw();
+        if (bits % 8 == 0) return huge_sign * sp.huge[(bits / 8) % sp.huge.size()];
+        return sp.finite[(bits / 8) % sp.finite.size()];
+      };
+      for (const bool use_fma : {false, true}) {
+        for (const Shape& s : shapes) {
+          std::vector<double> row_sign(s.rows), k_sign(s.k_count),
+              col_sign(s.cols);
+          for (double& v : row_sign) v = sign();
+          for (double& v : k_sign) v = sign();
+          for (double& v : col_sign) v = sign();
+          std::vector<double> a(s.rows * s.bk, nan);
+          std::vector<double> b(s.bk * s.cols, nan);
+          std::vector<double> acc(s.rows * s.cols);
+          for (std::size_t i = 0; i < s.rows; ++i)
+            for (std::size_t kk = 0; kk < s.k_count; ++kk)
+              a[i * s.bk + kk] = pick(row_sign[i] * k_sign[kk]);
           for (std::size_t kk = 0; kk < s.k_count; ++kk)
-            a[i * s.bk + kk] = next();
-        for (std::size_t kk = 0; kk < s.k_count; ++kk)
-          for (std::size_t j = 0; j < s.cols; ++j) b[kk * s.cols + j] = next();
-        MathCtx ref(0, nullptr, precision);
-        for (double& v : acc) v = ref.canonical(next());
-        std::vector<double> want = acc;
-        for (std::size_t i = 0; i < s.rows; ++i) {
-          for (std::size_t j = 0; j < s.cols; ++j) {
-            double& e = want[i * s.cols + j];
-            for (std::size_t kk = 0; kk < s.k_count; ++kk) {
-              const double av = a[i * s.bk + kk];
-              const double bv = b[kk * s.cols + j];
-              e = use_fma ? ref.fma(av, bv, e) : ref.add(e, ref.mul(av, bv));
+            for (std::size_t j = 0; j < s.cols; ++j)
+              b[kk * s.cols + j] = pick(k_sign[kk] * col_sign[j]);
+          MathCtx ref(0, nullptr, precision);
+          for (double& v : acc) {
+            v = special ? sp.finite[draw() % sp.finite.size()] : ordinary();
+            v = ref.canonical(v);
+          }
+          std::vector<double> want = acc;
+          for (std::size_t i = 0; i < s.rows; ++i) {
+            for (std::size_t j = 0; j < s.cols; ++j) {
+              double& e = want[i * s.cols + j];
+              for (std::size_t kk = 0; kk < s.k_count; ++kk) {
+                const double av = a[i * s.bk + kk];
+                const double bv = b[kk * s.cols + j];
+                e = use_fma ? ref.fma(av, bv, e) : ref.add(e, ref.mul(av, bv));
+              }
+              ASSERT_FALSE(std::isnan(e));
             }
           }
+          MathCtx fast(0, nullptr, precision);
+          fast.accumulate_panel(a.data(), b.data(), acc.data(), s.rows, s.cols,
+                                s.bk, s.k_count, use_fma);
+          for (std::size_t e = 0; e < acc.size(); ++e)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(acc[e]),
+                      std::bit_cast<std::uint64_t>(want[e]))
+                << "element " << e << " of " << s.rows << "x" << s.cols
+                << " k=" << s.k_count << " fma=" << use_fma
+                << " special=" << special;
+          EXPECT_EQ(ref.counters().fmas, fast.counters().fmas);
+          EXPECT_EQ(ref.counters().muls, fast.counters().muls);
+          EXPECT_EQ(ref.counters().adds, fast.counters().adds);
         }
-        MathCtx fast(0, nullptr, precision);
-        fast.accumulate_panel(a.data(), b.data(), acc.data(), s.rows, s.cols,
-                              s.bk, s.k_count, use_fma);
-        for (std::size_t e = 0; e < acc.size(); ++e)
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(acc[e]),
-                    std::bit_cast<std::uint64_t>(want[e]))
-              << "element " << e << " of " << s.rows << "x" << s.cols
-              << " k=" << s.k_count << " fma=" << use_fma;
-        EXPECT_EQ(ref.counters().fmas, fast.counters().fmas);
-        EXPECT_EQ(ref.counters().muls, fast.counters().muls);
-        EXPECT_EQ(ref.counters().adds, fast.counters().adds);
       }
     }
   }

@@ -47,6 +47,18 @@ TEST(SchemeTiming, OverlapHidesReductionBehindGemm) {
   EXPECT_EQ(t2.total_seconds(), t2.overhead_seconds + t2.overlapped_seconds);
 }
 
+TEST(SchemeTiming, FusedGemmPricesLikeGemm) {
+  const auto device = gpusim::k20c();
+  const SchemeTiming gemm =
+      price_launch_log(device, {kernel("gemm", 2'000'000'000, 64'000'000)});
+  const SchemeTiming fused = price_launch_log(
+      device, {kernel("gemm_fused", 2'000'000'000, 64'000'000)});
+  EXPECT_GT(fused.gemm_seconds, 0.0);
+  EXPECT_EQ(fused.gemm_seconds, gemm.gemm_seconds);
+  EXPECT_EQ(fused.overhead_seconds, 0.0);
+  EXPECT_EQ(fused.total_seconds(), gemm.total_seconds());
+}
+
 TEST(SchemeTiming, MoreKernelsCostMore) {
   const auto device = gpusim::k20c();
   const std::vector<LaunchStats> one = {kernel("gemm", 1'000'000'000)};
