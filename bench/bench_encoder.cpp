@@ -179,6 +179,7 @@ int main() {
       Row row{"pipeline_fused", "ns_per_op_classic", "ns_per_op_fused", n};
       gpusim::Launcher launcher;
       abft::AabftConfig config;
+      config.fused_gemm = false;
       abft::AabftMultiplier classic(launcher, config);
       config.fused_gemm = true;
       abft::AabftMultiplier fused(launcher, config);

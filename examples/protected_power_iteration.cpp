@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   std::size_t faults_injected = 0;
   std::size_t faults_detected = 0;
-  std::size_t faults_corrected = 0;
+  std::size_t faults_repaired = 0;
   double lambda = 0.0;
 
   for (std::size_t it = 1; it <= iterations; ++it) {
@@ -103,8 +103,9 @@ int main(int argc, char** argv) {
     if (inject && controller.fired()) ++faults_injected;
 
     if (result.error_detected()) ++faults_detected;
-    if (!result.corrections.empty() && result.recheck_clean)
-      ++faults_corrected;
+    if (result.panel_recomputes > 0 ||
+        (!result.corrections.empty() && result.recheck_clean))
+      ++faults_repaired;
 
     lambda = rayleigh(x, result.c);
     x = result.c;
@@ -117,16 +118,16 @@ int main(int argc, char** argv) {
 
     std::printf("step %2zu: lambda ~= %.12g%s%s\n", it, lambda,
                 inject ? "  [fault injected]" : "",
-                result.error_detected() ? " [detected+corrected]" : "");
+                result.error_detected() ? " [detected+repaired]" : "");
   }
 
   const double drift = x.max_abs_diff(x_ref);
-  std::printf("\nfaults that hit an instruction: %zu, detected %zu, corrected "
+  std::printf("\nfaults that hit an instruction: %zu, detected %zu, repaired "
               "%zu\n(a hit can land on a padded kernel lane and mask itself; "
               "masked faults never\nreach the result and need no detection)\n",
-              faults_injected, faults_detected, faults_corrected);
+              faults_injected, faults_detected, faults_repaired);
   std::printf("max |protected iterate - fault-free reference| = %.3g\n", drift);
-  std::printf("(correction rebuilds elements from checksums, so tiny rounding-"
-              "level drift is expected)\n");
+  std::printf("(a panel replay is bit-exact; correction rebuilds elements "
+              "from checksums,\nso tiny rounding-level drift is expected)\n");
   return 0;
 }

@@ -52,11 +52,11 @@ int main() {
   const auto faulty = mult.multiply(a, b).value();
   launcher.set_fault_controller(nullptr);
 
-  std::printf("faulty run     : injected=%s detected=%s corrections=%zu "
-              "recheck-clean=%s\n",
+  std::printf("faulty run     : injected=%s detected=%s panel-replays=%zu "
+              "corrections=%zu recheck-clean=%s\n",
               controller.fired() ? "yes" : "no",
               faulty.error_detected() ? "yes" : "no",
-              faulty.corrections.size(),
+              faulty.panel_recomputes, faulty.corrections.size(),
               faulty.recheck_clean ? "yes" : "no");
 
   if (!faulty.corrections.empty()) {
@@ -67,8 +67,9 @@ int main() {
                 c.old_value, c.new_value);
   }
 
-  // 3. The corrected result matches the fault-free one.
-  std::printf("max |corrected - clean| = %.3g\n",
+  // 3. The repaired result matches the fault-free one: bit for bit after a
+  //    panel replay, to rounding after a checksum correction.
+  std::printf("max |repaired - clean| = %.3g\n",
               faulty.c.max_abs_diff(clean.c));
 
   // 4. Recoverable misuse is an error value, not an exception: a shape

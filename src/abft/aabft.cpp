@@ -206,36 +206,27 @@ AabftResult AabftMultiplier::run(const Matrix& a, const Matrix& b,
 
   // Step 1: encode + blockwise maxima (Algorithm 1), step 3's global
   // reduction is launched inside encode_* right after. A cache hit replaces
-  // A's encode with the cached artifacts: the pre-materialised A_cc when the
-  // cache stored one, else a pure layout copy from the cached sums — either
-  // way bit-identical to encode_columns, so the product and every repair
-  // rung below are unchanged.
+  // A's encode with a pure layout copy from the cached sums — bit-identical
+  // to encode_columns, so the product and every repair rung below are
+  // unchanged.
   std::optional<EncodedMatrix> a_own;
-  std::optional<Matrix> a_materialized;
-  const Matrix* a_enc_data = nullptr;
-  const PMaxTable* a_pmax = nullptr;
-  if (pre_a != nullptr) {
-    a_pmax = &pre_a->light->pmax;
-    if (pre_a->encoded != nullptr) {
-      a_enc_data = pre_a->encoded;
-    } else {
-      a_materialized = materialize_columns(a, pre_a->light->sums, codec_);
-      a_enc_data = &*a_materialized;
-    }
-  } else {
+  std::optional<Matrix> a_copy;
+  if (pre_a != nullptr)
+    a_copy = materialize_columns(a, pre_a->light->sums, codec_);
+  else
     a_own = encode_columns(launcher_, a, codec_, config_.p);
-    a_enc_data = &a_own->data;
-    a_pmax = &a_own->pmax;
-  }
+  const Matrix& a_cc = pre_a != nullptr ? *a_copy : a_own->data;
+  const PMaxTable& a_pmax = pre_a != nullptr ? pre_a->light->pmax
+                                             : a_own->pmax;
   EncodedMatrix b_rc = encode_rows(launcher_, b, codec_, config_.p);
 
   // Step 2: the block-based product over the encoded operands (Algorithm 3).
-  Matrix c_fc = linalg::blocked_matmul(launcher_, *a_enc_data, b_rc.data,
+  Matrix c_fc = linalg::blocked_matmul(launcher_, a_cc, b_rc.data,
                                        config_.gemm);
 
-  const auto encoded_a = [&]() -> const Matrix& { return *a_enc_data; };
+  const auto encoded_a = [&]() -> const Matrix& { return a_cc; };
   const auto encoded_b = [&]() -> const Matrix& { return b_rc.data; };
-  return settle(std::move(c_fc), *a_pmax, b_rc.pmax, a.cols(), trace,
+  return settle(std::move(c_fc), a_pmax, b_rc.pmax, a.cols(), trace,
                 encoded_a, encoded_b);
 }
 
@@ -259,18 +250,19 @@ AabftResult AabftMultiplier::run_fused(const Matrix& a, const Matrix& b,
 
   // Step 2, fused: the product stages the encoding virtually and screens its
   // own column checksums at panel boundaries — the recovery ladder's rung 0.
+  // Detection-only mode keeps the screen but not its replay, so neither
+  // pipeline repairs.
   FusedGemmConfig fused = config_.fused;
   fused.use_fma = config_.gemm.use_fma;
+  if (!config_.correct_errors) fused.max_panel_recomputes = 0;
   FusedProduct product = fused_encode_matmul(launcher_, a, b, a_light->sums,
                                              b_light.sums, codec_, fused);
 
   // The repair rungs (correction re-check aside) operate on the encoded
-  // operands; materialise them only if one actually engages (a cached A_cc,
-  // when present, short-circuits even that copy).
+  // operands; materialise them only if one actually engages.
   std::optional<Matrix> a_enc;
   std::optional<Matrix> b_enc;
   const auto encoded_a = [&]() -> const Matrix& {
-    if (pre_a != nullptr && pre_a->encoded != nullptr) return *pre_a->encoded;
     if (!a_enc) a_enc = materialize_columns(a, a_light->sums, codec_);
     return *a_enc;
   };

@@ -46,8 +46,9 @@ struct AabftConfig {
   /// product with the checksum accumulation folded into the k-panel loop and
   /// screened per panel. Bit-identical to the classic path; the classic
   /// encoded operands are materialised lazily, only when a repair rung needs
-  /// them.
-  bool fused_gemm = false;
+  /// them. false selects the paper's kernels (Algorithm 1 encode, product
+  /// over the materialised A_cc / B_rc, check), as Table I's contender does.
+  bool fused_gemm = true;
   /// Fused-kernel blocking and screen parameters. use_fma is kept in sync
   /// with gemm.use_fma by set_fma() / the pipeline.
   FusedGemmConfig fused;
@@ -96,22 +97,22 @@ struct AabftResult {
   std::size_t panel_detections = 0;    ///< online panel-screen mismatches
   std::size_t panel_recomputes = 0;    ///< tile panel replays (ladder rung 0)
 
+  /// True when either check saw an error: the end-of-product check, or the
+  /// fused product's panel screen (whose replay may have repaired the tile
+  /// before the end-of-product check ran, leaving `report` clean).
   [[nodiscard]] bool error_detected() const noexcept {
-    return !report.clean();
+    return !report.clean() || panel_detections > 0;
   }
 };
 
-/// A pre-encoded left operand: borrowed views of the padded matrix, its
-/// light encode (compact checksum side-buffer + p-max table) and, when the
-/// consumer runs the classic (unfused) pipeline, optionally the materialised
-/// encoded matrix A_cc. The serving operand cache owns the storage; the
-/// multiplier only reads through these pointers for the duration of one
-/// multiply. `a` and `light` are mandatory; `encoded` may be null (the
-/// classic path then materialises A_cc from the sums, a pure layout copy).
+/// A pre-encoded left operand: borrowed views of the padded matrix and its
+/// light encode (compact checksum side-buffer + p-max table). The serving
+/// operand cache owns the storage; the multiplier only reads through these
+/// pointers for the duration of one multiply. The classic pipeline
+/// materialises A_cc from the sums, a pure layout copy.
 struct PreencodedA {
   const linalg::Matrix* a = nullptr;
   const LightEncoded* light = nullptr;
-  const linalg::Matrix* encoded = nullptr;
 };
 
 /// One problem of a preencoded batch: the shared pre-encoded A and this

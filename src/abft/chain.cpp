@@ -24,6 +24,7 @@ ChainResult multiply_chain(gpusim::Launcher& launcher,
     const AabftResult link = mult.multiply_padded(result.c, *chain[i]);
     ++result.multiplies;
     if (link.error_detected()) ++result.faults_detected;
+    result.panel_recomputes += link.panel_recomputes;
     result.corrections += link.corrections.size();
     result.recomputations += link.recomputations;
     if (link.uncorrectable || !link.recheck_clean) result.ok = false;

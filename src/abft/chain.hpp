@@ -20,6 +20,7 @@ struct ChainResult {
   linalg::Matrix c;                 ///< the final product
   std::size_t multiplies = 0;       ///< protected links executed
   std::size_t faults_detected = 0;  ///< links that flagged an error
+  std::size_t panel_recomputes = 0; ///< fused tile replays (ladder rung 0)
   std::size_t corrections = 0;
   std::size_t recomputations = 0;
   bool ok = true;                   ///< every link ended recheck-clean

@@ -52,12 +52,8 @@ Result<std::uint64_t> OperandCache::register_operand(const linalg::Matrix& a) {
       padded_rows == a.rows() ? a : abft::pad_to(a, padded_rows, a.cols());
   entry->light =
       abft::encode_columns_light(launcher_, entry->padded, codec_, aabft_.p);
-  if (!aabft_.fused_gemm)
-    entry->encoded =
-        abft::materialize_columns(entry->padded, entry->light.sums, codec_);
   entry->bytes = matrix_bytes(entry->padded) + matrix_bytes(entry->light.sums) +
-                 entry->light.pmax.size() * sizeof(abft::PMaxList) +
-                 (entry->encoded ? matrix_bytes(*entry->encoded) : 0);
+                 entry->light.pmax.size() * sizeof(abft::PMaxList);
   if (entry->bytes > config_.byte_budget)
     return Error{ErrorCode::kOverloaded,
                  "operand entry of " + std::to_string(entry->bytes) +
@@ -65,7 +61,6 @@ Result<std::uint64_t> OperandCache::register_operand(const linalg::Matrix& a) {
                      std::to_string(config_.byte_budget)};
   entry->pre.a = &entry->padded;
   entry->pre.light = &entry->light;
-  entry->pre.encoded = entry->encoded ? &*entry->encoded : nullptr;
 
   core::MutexLock lk(mu_);
   // A concurrent registration of the same content may have won the race

@@ -5,11 +5,10 @@
 // matrix A multiplied against a stream of activations B — yet each request
 // pays the full O(m k) checksum encode of A. This cache converts that
 // per-request cost into a one-time cost: register_operand() pads A to a
-// checksum-block multiple, runs encode_columns_light once (the compact
-// checksum side-buffer + p-max table of PR 8's fused pipeline) and, for
-// unfused configurations, materialises the classic encoded A_cc; requests
-// that reference the entry (by explicit handle or by content fingerprint)
-// consume the cached artifacts through abft::PreencodedA and skip A's encode
+// checksum-block multiple and runs encode_columns_light once (the compact
+// checksum side-buffer + p-max table of the fused pipeline); requests that
+// reference the entry (by explicit handle or by content fingerprint) consume
+// the cached artifacts through abft::PreencodedA and skip A's encode
 // entirely. Results are bit-identical to the cold path: the cached sums are
 // exactly what a fresh encode produces, and the sampled consistency guard
 // (AabftConfig::cache_verify_every) enforces that invariant in debug soaks.
@@ -52,8 +51,8 @@ struct OpCacheConfig {
   /// and serves no implicit hits, so every request cold-encodes.
   bool enabled = true;
   /// LRU byte budget over all cached artifacts (padded operand + checksum
-  /// side-buffer + p-max table + materialised A_cc where present). A single
-  /// entry larger than the budget is refused at registration (kOverloaded).
+  /// side-buffer + p-max table). A single entry larger than the budget is
+  /// refused at registration (kOverloaded).
   std::size_t byte_budget = 64ull << 20;
   /// Fingerprint inline GEMM A operands at admission and serve implicit
   /// hits: a request whose A content-matches a registered entry uses the
@@ -73,10 +72,6 @@ class OperandCache {
     std::size_t orig_cols = 0;
     linalg::Matrix padded;      ///< rows padded to a checksum-block multiple
     abft::LightEncoded light;   ///< compact checksum side-buffer + p-max
-    /// Classic encoded A_cc, materialised at registration for unfused
-    /// configurations (the classic product consumes it directly); absent
-    /// under fused_gemm, where the light sums suffice.
-    std::optional<linalg::Matrix> encoded;
     abft::PreencodedA pre;      ///< views over the fields above
     std::size_t bytes = 0;      ///< budget charge of this entry
     /// Outstanding pins; > 0 blocks eviction. Lock-free so pin release never
@@ -91,10 +86,8 @@ class OperandCache {
   /// its queue before teardown).
   using Pin = std::shared_ptr<const Entry>;
 
-  /// `aabft` supplies the block size, p, and whether the classic encoded
-  /// form must be materialised (fused_gemm == false). `stats` may be null
-  /// (standalone use in tests); when set, the cache bumps the opcache_*
-  /// counters on it.
+  /// `aabft` supplies the block size and p. `stats` may be null (standalone
+  /// use in tests); when set, the cache bumps the opcache_* counters on it.
   OperandCache(gpusim::Launcher& launcher, const abft::AabftConfig& aabft,
                OpCacheConfig config, StatsBoard* stats);
   OperandCache(const OperandCache&) = delete;

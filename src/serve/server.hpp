@@ -49,10 +49,8 @@ struct ServeConfig {
   /// weight operands, reused by every request that references them.
   opcache::OpCacheConfig opcache;
   /// Scheme configuration for the primary A-ABFT multiplier. The serving
-  /// default enables one per-block recompute round so single-block damage is
-  /// repaired bit-exactly without a full re-execution, and runs GEMMs
-  /// through the fused online-checking pipeline (bit-identical to the
-  /// classic one, no standalone encode pass, panel-granular rung-0 repair).
+  /// default adds one per-block recompute round to the library default, so
+  /// single-block damage is repaired bit-exactly without a full re-execution.
   abft::AabftConfig aabft = default_aabft();
   /// Start with the dispatcher gated; call resume() to begin serving.
   bool start_paused = false;
@@ -60,7 +58,6 @@ struct ServeConfig {
   [[nodiscard]] static abft::AabftConfig default_aabft() noexcept {
     abft::AabftConfig config;
     config.max_block_recomputes = 1;
-    config.fused_gemm = true;
     return config;
   }
 };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "abft/aabft.hpp"
 #include "core/rng.hpp"
@@ -16,6 +17,7 @@ using aabft::Rng;
 using aabft::ErrorCode;
 using aabft::abft::AabftConfig;
 using aabft::abft::AabftMultiplier;
+using aabft::abft::AabftResult;
 using aabft::abft::BoundPolicy;
 using aabft::gpusim::FaultConfig;
 using aabft::gpusim::FaultController;
@@ -105,12 +107,14 @@ INSTANTIATE_TEST_SUITE_P(
         CleanCase{96, 32, 2, InputClass::kUnit, false, BoundPolicy::kPaperDirect},
         CleanCase{160, 32, 3, InputClass::kDynamic, false, BoundPolicy::kPaperDirect}));
 
-TEST(Aabft, DetectsAndCorrectsLargeInjectedFault) {
-  Rng rng(31);
-  const std::size_t n = 64;
-  const Matrix a = uniform_matrix(n, n, -1.0, 1.0, rng);
-  const Matrix b = uniform_matrix(n, n, -1.0, 1.0, rng);
+struct FaultedRun {
+  AabftResult result;
+  bool fired = false;
+};
 
+/// One large exponent corruption of an inner-loop multiply.
+FaultedRun multiply_with_large_fault(const Matrix& a, const Matrix& b,
+                                     const AabftConfig& config) {
   Launcher launcher;
   FaultController controller;
   launcher.set_fault_controller(&controller);
@@ -122,11 +126,26 @@ TEST(Aabft, DetectsAndCorrectsLargeInjectedFault) {
   fault.error_vec = 1ULL << 61;  // large exponent corruption
   controller.arm(fault);
 
-  AabftMultiplier mult(launcher, small_config());
-  const auto result = mult.multiply(a, b).value();
+  AabftMultiplier mult(launcher, config);
+  FaultedRun run{mult.multiply(a, b).value()};
   launcher.set_fault_controller(nullptr);
+  run.fired = controller.fired();
+  return run;
+}
 
-  ASSERT_TRUE(controller.fired());
+TEST(Aabft, DetectsAndCorrectsLargeInjectedFault) {
+  Rng rng(31);
+  const std::size_t n = 64;
+  const Matrix a = uniform_matrix(n, n, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(n, n, -1.0, 1.0, rng);
+
+  // No panel replay: the fault reaches the end-of-product check and the
+  // correction rung.
+  AabftConfig config = small_config();
+  config.fused.max_panel_recomputes = 0;
+  const auto [result, fired] = multiply_with_large_fault(a, b, config);
+
+  ASSERT_TRUE(fired);
   EXPECT_TRUE(result.error_detected());
   ASSERT_EQ(result.corrections.size(), 1u);
   EXPECT_FALSE(result.uncorrectable);
@@ -136,6 +155,32 @@ TEST(Aabft, DetectsAndCorrectsLargeInjectedFault) {
   // correction's own rounding (the rebuilt element is a sum of BS terms).
   const Matrix ref = naive_matmul(a, b, false);
   EXPECT_LT(result.c.max_abs_diff(ref), 1e-10);
+}
+
+TEST(Aabft, DefaultConfigReplaysLargeInjectedFault) {
+  Rng rng(31);
+  const std::size_t n = 64;
+  const Matrix a = uniform_matrix(n, n, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(n, n, -1.0, 1.0, rng);
+
+  Launcher clean_launcher;
+  AabftMultiplier clean_mult(clean_launcher, small_config());
+  const AabftResult clean = clean_mult.multiply(a, b).value();
+
+  // The same fault under the library default: the fused product's panel
+  // screen catches it and the tile replay repairs it bit-exactly.
+  const auto [result, fired] = multiply_with_large_fault(a, b, small_config());
+
+  ASSERT_TRUE(fired);
+  EXPECT_TRUE(result.fused);
+  EXPECT_TRUE(result.error_detected());
+  EXPECT_GE(result.panel_recomputes, 1u);
+  EXPECT_TRUE(result.corrections.empty());
+  EXPECT_FALSE(result.uncorrectable);
+  EXPECT_TRUE(result.recheck_clean);
+  EXPECT_EQ(std::memcmp(result.c.data(), clean.c.data(),
+                        sizeof(double) * clean.c.size()),
+            0);
 }
 
 TEST(Aabft, CorrectionRestoresExactValueFromChecksum) {

@@ -310,6 +310,7 @@ TEST(FusedGemm, PipelineMatchesClassicBits) {
   const Matrix b = uniform_matrix(48, 64, -1.0, 1.0, rng);
   AabftConfig config;
   config.bs = 16;
+  config.fused_gemm = false;
 
   aabft::gpusim::Launcher launcher;
   AabftMultiplier classic(launcher, config);
@@ -452,8 +453,10 @@ TEST(FusedGemm, PanelDetectionRepairsInnerFault) {
   EXPECT_EQ(controller.fired_count(), 1u);
   EXPECT_GE(result->panel_detections, 1u);
   EXPECT_GE(result->panel_recomputes, 1u);
-  // Repaired online: the end-of-product check never saw the corruption.
-  EXPECT_FALSE(result->error_detected());
+  // Repaired online: the end-of-product check never saw the corruption,
+  // yet the result still reports the screen's detection.
+  EXPECT_TRUE(result->report.clean());
+  EXPECT_TRUE(result->error_detected());
   EXPECT_TRUE(result->corrections.empty());
   EXPECT_EQ(result->recomputations, 0u);
   EXPECT_TRUE(bits_equal(result->c, clean->c));

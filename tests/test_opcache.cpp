@@ -96,7 +96,7 @@ TEST(OpCache, RegisterDedupsByContent) {
 
 TEST(OpCache, EntryCarriesConsistentPreencodedViews) {
   Launcher launcher;
-  // Unfused: the classic pipeline wants the materialised encoded A as well.
+  // Unfused: the classic pipeline lays A_cc out from the same light encode.
   const abft::AabftConfig aabft = small_aabft(false);
   OperandCache cache(launcher, aabft, OpCacheConfig{}, nullptr);
   Rng rng(22);
@@ -111,8 +111,6 @@ TEST(OpCache, EntryCarriesConsistentPreencodedViews) {
   EXPECT_EQ(pin->padded.rows(), 24u);
   EXPECT_EQ(pin->pre.a, &pin->padded);
   EXPECT_EQ(pin->pre.light, &pin->light);
-  ASSERT_TRUE(pin->encoded.has_value());
-  EXPECT_EQ(pin->pre.encoded, &*pin->encoded);
   // The cached side-buffer is exactly a fresh light encode of the padded A.
   const abft::LightEncoded fresh = abft::encode_columns_light(
       launcher, pin->padded, abft::PartitionedCodec(aabft.bs), aabft.p);
@@ -288,7 +286,7 @@ TEST(OpCache, ConsistencyGuardThrowsOnStaleEntry) {
 
   const abft::LightEncoded light = abft::encode_columns_light(
       launcher, a, abft::PartitionedCodec(aabft.bs), aabft.p);
-  const abft::PreencodedA pre{&a, &light, nullptr};
+  const abft::PreencodedA pre{&a, &light};
   ASSERT_TRUE(mult.multiply_preencoded(pre, b).ok())
       << "a consistent entry must pass the guard";
 

@@ -36,35 +36,52 @@ TEST(ProfileReport, AggregatesByKernelName) {
   EXPECT_GT(profiles[0].modelled_seconds, 0.0);
 }
 
-TEST(ProfileReport, EndToEndProtectedMultiplyProfile) {
+/// Kernel profiles of one protected 192^3 multiply (bs = 16).
+std::vector<KernelProfile> protected_multiply_profile(bool fused_gemm) {
   Rng rng(1);
   const auto a = aabft::linalg::uniform_matrix(192, 192, -1.0, 1.0, rng);
   const auto b = aabft::linalg::uniform_matrix(192, 192, -1.0, 1.0, rng);
   Launcher launcher;
   aabft::abft::AabftConfig config;
   config.bs = 16;
+  config.fused_gemm = fused_gemm;
   aabft::abft::AabftMultiplier mult(launcher, config);
   (void)mult.multiply(a, b).value();
+  return profile_launch_log(launcher.device(), launcher.launch_log());
+}
 
-  const auto profiles = profile_launch_log(launcher.device(),
-                                           launcher.launch_log());
-  // encode_a, reduce_pmax_a, encode_b, reduce_pmax_b, gemm, check.
-  ASSERT_EQ(profiles.size(), 6u);
+/// The product is the single most expensive kernel at this size.
+void expect_product_dominates(const std::vector<KernelProfile>& profiles,
+                              const std::string& product) {
   double gemm_seconds = 0.0;
   double largest_other = 0.0;
   for (const auto& p : profiles) {
-    if (p.name == "gemm")
+    if (p.name == product)
       gemm_seconds = p.modelled_seconds;
     else
       largest_other = std::max(largest_other, p.modelled_seconds);
   }
-  // The product is the single most expensive kernel at this size.
   EXPECT_GT(gemm_seconds, largest_other);
+}
+
+TEST(ProfileReport, EndToEndProtectedMultiplyProfile) {
+  // The library default runs the fused pipeline: encode_a_light,
+  // encode_b_light, gemm_fused, check.
+  const auto profiles = protected_multiply_profile(true);
+  ASSERT_EQ(profiles.size(), 4u);
+  expect_product_dominates(profiles, "gemm_fused");
 
   const std::string text = format_profile(profiles);
   EXPECT_NE(text.find("gemm"), std::string::npos);
   EXPECT_NE(text.find("check"), std::string::npos);
   EXPECT_NE(text.find('%'), std::string::npos);
+}
+
+TEST(ProfileReport, EndToEndClassicMultiplyProfile) {
+  // encode_a, reduce_pmax_a, encode_b, reduce_pmax_b, gemm, check.
+  const auto profiles = protected_multiply_profile(false);
+  ASSERT_EQ(profiles.size(), 6u);
+  expect_product_dominates(profiles, "gemm");
 }
 
 TEST(ProfileReport, EmptyLogFormats) {

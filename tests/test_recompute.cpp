@@ -106,6 +106,8 @@ TEST(Recompute, NotTriggeredWhenCorrectionSucceeds) {
   controller.arm(fault);
   AabftConfig config;
   config.bs = 16;
+  // No panel replay: the fault must reach the correction rung.
+  config.fused.max_panel_recomputes = 0;
   AabftMultiplier mult(launcher, config);
   const auto result = mult.multiply(a, b).value();
   launcher.set_fault_controller(nullptr);
