@@ -13,8 +13,9 @@
 //       compact sums + screened single-sweep p-max, no materialisation).
 //       This is the "kill the encode hot path" headline: the fused pipeline
 //       must cut the encode cost by >= 3x at the largest benchmarked size.
-//   pipeline_fused — the end-to-end protected GEMM (AabftMultiplier),
-//       classic vs fused configuration, fault-free (informational).
+//   pipeline_fused — the end-to-end protected GEMM, fault-free: the paper's
+//       kernels ("classic": baselines::PaperAabftScheme, Table I's
+//       contender) vs the library's fused AabftMultiplier (informational).
 //
 // Machine-readable output: BENCH_encoder.json in the current directory, or
 // $AABFT_BENCH_JSON if set.
@@ -30,6 +31,7 @@
 #include "abft/aabft.hpp"
 #include "abft/encoder.hpp"
 #include "abft/fused_gemm.hpp"
+#include "baselines/schemes.hpp"
 #include "bench/bench_common.hpp"
 #include "core/rng.hpp"
 #include "gpusim/kernel.hpp"
@@ -173,20 +175,18 @@ int main() {
       rows.push_back(row);
     }
 
-    // -- end-to-end protected GEMM: classic vs fused pipeline ---------------
+    // -- end-to-end protected GEMM: the paper's kernels vs the library -----
     {
       const std::uint64_t gemm_ops = 2ull * n * n * n;
       Row row{"pipeline_fused", "ns_per_op_classic", "ns_per_op_fused", n};
       gpusim::Launcher launcher;
-      abft::AabftConfig config;
-      config.fused_gemm = false;
-      abft::AabftMultiplier classic(launcher, config);
-      config.fused_gemm = true;
-      abft::AabftMultiplier fused(launcher, config);
+      baselines::PaperAabftScheme classic(launcher);
+      abft::AabftMultiplier fused(launcher, abft::AabftConfig{});
+      const auto desc = baselines::OpDescriptor::gemm(n, n, n);
       measure_pair(
           row, gemm_ops,
           [&] {
-            auto result = classic.multiply(a, b);
+            auto result = classic.execute(desc, a, b);
             if (!result.ok() || result->c(0, 0) == 12345.6789) std::abort();
           },
           [&] {

@@ -135,8 +135,10 @@ int main() {
     sequential.push_back(mult.multiply(a, b).value().c);
   const double seq_s = seconds_since(start);
 
+  std::vector<abft::Operands> operands;
+  for (const auto& [a, b] : problems) operands.push_back({&a, &b});
   start = Clock::now();
-  const auto batch = mult.multiply_batch(problems);
+  const auto batch = mult.multiply_batch(operands);
   const double batch_s = seconds_since(start);
 
   bool identical = true;

@@ -14,9 +14,9 @@
 //       A-side encode must vanish from the hit path — this is the headline
 //       the exit code gates (>= 2x at the largest size; the analytic ratio
 //       at n = 1024, q = 64 is ~17x).
-//   gemm_hit_path — the end-to-end protected GEMM (fused pipeline),
-//       multiply(a, b) vs multiply_preencoded(cached, b) (informational:
-//       the O(n q k) product amortises the encode saving).
+//   gemm_hit_path — the end-to-end protected GEMM, multiply(a, b) vs
+//       multiply(a, b, &cached_light) (informational: the O(n q k) product
+//       amortises the encode saving).
 //
 // Machine-readable output: BENCH_opcache.json in the current directory, or
 // $AABFT_BENCH_JSON if set.
@@ -102,8 +102,7 @@ int main() {
   // Tiny smoke caps still get one block-multiple round.
   if (sweep.empty()) sweep.push_back(std::max<std::size_t>(max_n, 64));
 
-  abft::AabftConfig config;
-  config.fused_gemm = true;
+  const abft::AabftConfig config;
   const abft::PartitionedCodec codec(config.bs);
   std::vector<Row> rows;
 
@@ -148,7 +147,7 @@ int main() {
       rows.push_back(row);
     }
 
-    // -- end-to-end protected GEMM: cold multiply vs preencoded -------------
+    // -- end-to-end protected GEMM: cold multiply vs cached encode ----------
     {
       const std::uint64_t gemm_ops = 2ull * n * n * q;
       Row row{"gemm_hit_path", "ns_per_op_cold", "ns_per_op_hit", n, q};
@@ -162,7 +161,7 @@ int main() {
             if (!result.ok() || result->c(0, 0) == 12345.6789) std::abort();
           },
           [&] {
-            auto result = mult.multiply_preencoded(pin->pre, b);
+            auto result = mult.multiply(pin->padded, b, &pin->light);
             if (!result.ok() || result->c(0, 0) == 12345.6789) std::abort();
           });
       rows.push_back(row);

@@ -80,8 +80,8 @@ int main() {
 
   // 5. Independent multiplies pipeline across streams of the launcher's
   //    persistent worker pool; results are bit-identical to sequential calls.
-  const std::vector<std::pair<linalg::Matrix, linalg::Matrix>> problems = {
-      {a, b}, {b, a}};
+  //    Operands are borrowed, so problems may share them.
+  const std::vector<abft::Operands> problems = {{&a, &b}, {&b, &a}};
   const auto batch = mult.multiply_batch(problems);
   std::printf("batch          : %zu problems, all clean=%s\n", batch.size(),
               (batch[0].ok() && batch[1].ok() &&

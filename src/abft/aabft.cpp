@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <string>
+#include <utility>
 
 #include "core/require.hpp"
 
@@ -42,72 +43,25 @@ std::optional<Error> AabftMultiplier::validate(const Matrix& a,
   return std::nullopt;
 }
 
-Result<AabftResult> AabftMultiplier::multiply(const Matrix& a,
-                                              const Matrix& b) {
+Result<AabftResult> AabftMultiplier::multiply(const Matrix& a, const Matrix& b,
+                                              const LightEncoded* a_light) {
   if (auto err = validate(a, b)) return *err;
-  return run(a, b, nullptr);
-}
-
-Result<AabftResult> AabftMultiplier::multiply_preencoded(const PreencodedA& pre,
-                                                         const Matrix& b) {
-  AABFT_REQUIRE(pre.a != nullptr && pre.light != nullptr,
-                "PreencodedA must reference the operand and its light encode");
-  if (auto err = validate(*pre.a, b)) return *err;
-  return run(*pre.a, b, nullptr, &pre);
-}
-
-std::vector<Result<AabftResult>> AabftMultiplier::multiply_batch_preencoded(
-    std::span<const PreencodedProblem> problems, std::size_t streams) {
-  std::vector<Result<AabftResult>> results;
-  results.reserve(problems.size());
-  for (std::size_t i = 0; i < problems.size(); ++i)
-    results.emplace_back(
-        Error{ErrorCode::kExecutionFailed, "batch entry did not execute"});
-  if (problems.empty()) return results;
-
-  const std::size_t lanes_wanted =
-      streams != 0 ? streams : std::max<std::size_t>(1, launcher_.workers());
-  const std::size_t num_lanes = std::min(problems.size(), lanes_wanted);
-
-  std::vector<gpusim::Stream> lanes;
-  lanes.reserve(num_lanes);
-  for (std::size_t s = 0; s < num_lanes; ++s)
-    lanes.push_back(launcher_.create_stream());
-
-  // Same lane discipline as multiply_batch: one host task per problem, the
-  // product of one overlapping the (B-side) encode of another. The shared
-  // PreencodedA is read-only, so problems reusing one cached A are safe to
-  // overlap.
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    const PreencodedProblem& prob = problems[i];
-    AABFT_REQUIRE(prob.a != nullptr && prob.a->a != nullptr &&
-                      prob.a->light != nullptr && prob.b != nullptr,
-                  "PreencodedProblem must reference a PreencodedA and B");
-    if (auto err = validate(*prob.a->a, *prob.b)) {
-      results[i] = *err;
-      continue;
-    }
-    launcher_.launch_host_async(
-        lanes[i % num_lanes], "aabft_batch_pre", [this, prob, &results, i] {
-          try {
-            results[i] = run(*prob.a->a, *prob.b, nullptr, prob.a);
-          } catch (const std::exception& e) {
-            results[i] = Error{ErrorCode::kExecutionFailed, e.what()};
-          }
-        });
-  }
-  for (auto& lane : lanes) lane.synchronize();
-  return results;
+  return run(a, b, a_light);
 }
 
 std::vector<Result<AabftResult>> AabftMultiplier::multiply_batch(
-    std::span<const std::pair<Matrix, Matrix>> problems, std::size_t streams) {
+    std::span<const Operands> problems, std::size_t streams) {
   std::vector<Result<AabftResult>> results;
   results.reserve(problems.size());
   for (std::size_t i = 0; i < problems.size(); ++i)
     results.emplace_back(
         Error{ErrorCode::kExecutionFailed, "batch entry did not execute"});
   if (problems.empty()) return results;
+  AABFT_REQUIRE(std::all_of(problems.begin(), problems.end(),
+                            [](const Operands& p) {
+                              return p.a != nullptr && p.b != nullptr;
+                            }),
+                "batch problems must reference both operands");
 
   const std::size_t lanes_wanted =
       streams != 0 ? streams : std::max<std::size_t>(1, launcher_.workers());
@@ -122,17 +76,18 @@ std::vector<Result<AabftResult>> AabftMultiplier::multiply_batch(
   // a lane problems execute in order, across lanes the encode of one problem
   // overlaps the product/check of another. The nested launch() calls inside
   // run() are drained by the worker executing the host task (caller-help),
-  // so this cannot deadlock even with a single worker.
+  // so this cannot deadlock even with a single worker. Operands are only
+  // read, so problems sharing one A (and its light encode) may overlap.
   for (std::size_t i = 0; i < problems.size(); ++i) {
-    const auto& [a, b] = problems[i];
-    if (auto err = validate(a, b)) {
+    const Operands& prob = problems[i];
+    if (auto err = validate(*prob.a, *prob.b)) {
       results[i] = *err;
       continue;
     }
     launcher_.launch_host_async(
-        lanes[i % num_lanes], "aabft_batch", [this, &a, &b, &results, i] {
+        lanes[i % num_lanes], "aabft_batch", [this, prob, &results, i] {
           try {
-            results[i] = run(a, b, nullptr);
+            results[i] = run(*prob.a, *prob.b, prob.a_light);
           } catch (const std::exception& e) {
             results[i] = Error{ErrorCode::kExecutionFailed, e.what()};
           }
@@ -140,11 +95,6 @@ std::vector<Result<AabftResult>> AabftMultiplier::multiply_batch(
   }
   for (auto& lane : lanes) lane.synchronize();
   return results;
-}
-
-AabftResult AabftMultiplier::multiply_traced(const Matrix& a, const Matrix& b,
-                                             EpsilonTrace& trace) {
-  return run(a, b, &trace);
 }
 
 AabftResult AabftMultiplier::multiply_padded(const Matrix& a, const Matrix& b) {
@@ -158,31 +108,30 @@ AabftResult AabftMultiplier::multiply_padded(const Matrix& a, const Matrix& b) {
   return result;
 }
 
-void AabftMultiplier::maybe_verify_preencoded(const Matrix& a,
-                                              const PreencodedA& pre) {
+void AabftMultiplier::maybe_verify_light(const Matrix& a,
+                                         const LightEncoded& light) {
   const std::size_t every = config_.cache_verify_every;
   if (every == 0) return;
-  const std::uint64_t n =
-      preencoded_served_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t n = light_served_.fetch_add(1, std::memory_order_relaxed);
   if (n % every != 0) return;
 
   // Fresh light encode of the operand the caller actually handed us; the
-  // cached side-buffer must match it bit for bit (the sums feed both the
+  // supplied side-buffer must match it bit for bit (the sums feed both the
   // fused product and the materialised repair operands), and the p-max
   // *values* must match (tie index choices are encoder-specific and do not
   // enter the bounds).
   const LightEncoded fresh = encode_columns_light(launcher_, a, codec_,
                                                   config_.p);
-  AABFT_REQUIRE(fresh.sums == pre.light->sums,
+  AABFT_REQUIRE(fresh.sums == light.sums,
                 "operand-cache consistency check failed: cached checksum "
                 "side-buffer is not bit-identical to a fresh encode (stale "
                 "or corrupted cache entry)");
-  AABFT_REQUIRE(fresh.pmax.size() == pre.light->pmax.size(),
+  AABFT_REQUIRE(fresh.pmax.size() == light.pmax.size(),
                 "operand-cache consistency check failed: p-max table extent "
                 "mismatch");
   for (std::size_t v = 0; v < fresh.pmax.size(); ++v) {
     const PMaxList& want = fresh.pmax[v];
-    const PMaxList& got = pre.light->pmax[v];
+    const PMaxList& got = light.pmax[v];
     AABFT_REQUIRE(want.size() == got.size(),
                   "operand-cache consistency check failed: p-max list length "
                   "mismatch");
@@ -194,53 +143,20 @@ void AabftMultiplier::maybe_verify_preencoded(const Matrix& a,
 }
 
 AabftResult AabftMultiplier::run(const Matrix& a, const Matrix& b,
-                                 EpsilonTrace* trace,
-                                 const PreencodedA* pre_a) {
+                                 const LightEncoded* a_light) {
   AABFT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
   AABFT_REQUIRE(codec_.divides(a.rows()),
                 "rows of A must be a multiple of the checksum block size");
   AABFT_REQUIRE(codec_.divides(b.cols()),
                 "columns of B must be a multiple of the checksum block size");
-  if (pre_a != nullptr) maybe_verify_preencoded(a, *pre_a);
-  if (config_.fused_gemm) return run_fused(a, b, trace, pre_a);
 
-  // Step 1: encode + blockwise maxima (Algorithm 1), step 3's global
-  // reduction is launched inside encode_* right after. A cache hit replaces
-  // A's encode with a pure layout copy from the cached sums — bit-identical
-  // to encode_columns, so the product and every repair rung below are
-  // unchanged.
-  std::optional<EncodedMatrix> a_own;
-  std::optional<Matrix> a_copy;
-  if (pre_a != nullptr)
-    a_copy = materialize_columns(a, pre_a->light->sums, codec_);
-  else
-    a_own = encode_columns(launcher_, a, codec_, config_.p);
-  const Matrix& a_cc = pre_a != nullptr ? *a_copy : a_own->data;
-  const PMaxTable& a_pmax = pre_a != nullptr ? pre_a->light->pmax
-                                             : a_own->pmax;
-  EncodedMatrix b_rc = encode_rows(launcher_, b, codec_, config_.p);
-
-  // Step 2: the block-based product over the encoded operands (Algorithm 3).
-  Matrix c_fc = linalg::blocked_matmul(launcher_, a_cc, b_rc.data,
-                                       config_.gemm);
-
-  const auto encoded_a = [&]() -> const Matrix& { return a_cc; };
-  const auto encoded_b = [&]() -> const Matrix& { return b_rc.data; };
-  return settle(std::move(c_fc), a_pmax, b_rc.pmax, a.cols(), trace,
-                encoded_a, encoded_b);
-}
-
-AabftResult AabftMultiplier::run_fused(const Matrix& a, const Matrix& b,
-                                       EpsilonTrace* trace,
-                                       const PreencodedA* pre_a) {
   // Step 1, light form: compact checksum side-buffers + p-max tables, no
-  // encoded-matrix materialisation (fused_gemm.hpp). A cache hit skips A's
-  // light encode entirely — the cached sums and p-max table are exactly what
+  // encoded-matrix materialisation (fused_gemm.hpp). A supplied encode of A
+  // skips A's pass entirely — its sums and p-max table are exactly what
   // encode_columns_light would produce.
   std::optional<LightEncoded> a_own;
-  const LightEncoded* a_light = nullptr;
-  if (pre_a != nullptr) {
-    a_light = pre_a->light;
+  if (a_light != nullptr) {
+    maybe_verify_light(a, *a_light);
   } else {
     a_own = encode_columns_light(launcher_, a, codec_, config_.p);
     a_light = &*a_own;
@@ -250,8 +166,8 @@ AabftResult AabftMultiplier::run_fused(const Matrix& a, const Matrix& b,
 
   // Step 2, fused: the product stages the encoding virtually and screens its
   // own column checksums at panel boundaries — the recovery ladder's rung 0.
-  // Detection-only mode keeps the screen but not its replay, so neither
-  // pipeline repairs.
+  // Detection-only mode keeps the screen but not its replay, so nothing is
+  // repaired.
   FusedGemmConfig fused = config_.fused;
   fused.use_fma = config_.gemm.use_fma;
   if (!config_.correct_errors) fused.max_panel_recomputes = 0;
@@ -270,61 +186,54 @@ AabftResult AabftMultiplier::run_fused(const Matrix& a, const Matrix& b,
     if (!b_enc) b_enc = materialize_rows(b, b_light.sums, codec_);
     return *b_enc;
   };
-  AabftResult result = settle(std::move(product.c_fc), a_light->pmax,
-                              b_light.pmax, a.cols(), trace, encoded_a,
-                              encoded_b);
-  result.fused = true;
+  AabftResult result = settle(launcher_, config_, codec_,
+                              std::move(product.c_fc), a_light->pmax,
+                              b_light.pmax, a.cols(), encoded_a, encoded_b);
   result.panel_detections = product.panel_detections;
   result.panel_recomputes = product.panel_recomputes;
   return result;
 }
 
-AabftResult AabftMultiplier::settle(
-    Matrix c_fc, const PMaxTable& a_pmax, const PMaxTable& b_pmax,
-    std::size_t k, EpsilonTrace* trace,
-    const std::function<const Matrix&()>& encoded_a,
-    const std::function<const Matrix&()>& encoded_b) {
+AabftResult settle(gpusim::Launcher& launcher, const AabftConfig& config,
+                   const PartitionedCodec& codec, Matrix c_fc,
+                   const PMaxTable& a_pmax, const PMaxTable& b_pmax,
+                   std::size_t k,
+                   const std::function<const Matrix&()>& encoded_a,
+                   const std::function<const Matrix&()>& encoded_b) {
+  const auto check = [&](const Matrix& c) {
+    return check_product(launcher, c, codec, a_pmax, b_pmax, k, config.bounds,
+                         nullptr);
+  };
   // Step 4: bounds determination + reference checksums + comparison
   // (Algorithm 2).
-  CheckReport report = check_product(launcher_, c_fc, codec_, a_pmax, b_pmax,
-                                     k, config_.bounds, trace);
+  CheckReport report = check(c_fc);
 
   AabftResult result;
   result.report = report;
 
   // Step 5: localisation and correction.
-  if (!report.clean() && config_.correct_errors) {
-    CorrectionOutcome outcome = locate_and_correct(c_fc, report, codec_);
+  if (!report.clean() && config.correct_errors) {
+    CorrectionOutcome outcome = locate_and_correct(c_fc, report, codec);
     result.corrections = std::move(outcome.corrections);
     result.uncorrectable = outcome.uncorrectable;
-    if (!result.corrections.empty() && !result.uncorrectable) {
-      // Verify the patch: the corrected matrix must pass a clean re-check.
-      const CheckReport recheck = check_product(
-          launcher_, c_fc, codec_, a_pmax, b_pmax, k, config_.bounds, nullptr);
-      result.recheck_clean = recheck.clean();
-    } else {
-      result.recheck_clean = false;
-    }
+    // Verify the patch: the corrected matrix must pass a clean re-check.
+    result.recheck_clean = !result.corrections.empty() &&
+                           !result.uncorrectable && check(c_fc).clean();
 
     // Per-block recompute rung (opt-in): re-derive only the still-flagged
     // checksum blocks from the encoded operands — bit-exact, unlike the
     // checksum-rebuilt patches above — before resorting to a full re-run.
-    std::size_t block_rounds = config_.max_block_recomputes;
+    std::size_t block_rounds = config.max_block_recomputes;
     if (block_rounds > 0 && (result.uncorrectable || !result.recheck_clean)) {
       // The first report still describes c_fc when nothing was patched;
       // otherwise re-check to see what correction left behind.
-      CheckReport current =
-          result.corrections.empty()
-              ? report
-              : check_product(launcher_, c_fc, codec_, a_pmax, b_pmax, k,
-                              config_.bounds, nullptr);
+      CheckReport current = result.corrections.empty() ? report : check(c_fc);
       while (!current.clean() && block_rounds-- > 0) {
         const auto blocks = flagged_blocks(current);
-        recompute_blocks(launcher_, c_fc, encoded_a(), encoded_b(), blocks,
-                         codec_, config_.gemm);
+        recompute_blocks(launcher, c_fc, encoded_a(), encoded_b(), blocks,
+                         codec, config.gemm);
         result.block_recomputes += blocks.size();
-        current = check_product(launcher_, c_fc, codec_, a_pmax, b_pmax, k,
-                                config_.bounds, nullptr);
+        current = check(c_fc);
       }
       if (current.clean()) {
         result.uncorrectable = false;
@@ -336,14 +245,12 @@ AabftResult AabftMultiplier::settle(
     // blocked_matmul over the materialised encoded operands is bit-identical
     // to a clean fused product (the accumulation order is blocking-
     // independent), so both pipelines share this rung.
-    std::size_t attempts = config_.max_recompute_attempts;
+    std::size_t attempts = config.max_recompute_attempts;
     while ((result.uncorrectable || !result.recheck_clean) && attempts-- > 0) {
-      c_fc = linalg::blocked_matmul(launcher_, encoded_a(), encoded_b(),
-                                    config_.gemm);
+      c_fc = linalg::blocked_matmul(launcher, encoded_a(), encoded_b(),
+                                    config.gemm);
       ++result.recomputations;
-      const CheckReport recheck = check_product(
-          launcher_, c_fc, codec_, a_pmax, b_pmax, k, config_.bounds, nullptr);
-      if (recheck.clean()) {
+      if (check(c_fc).clean()) {
         result.uncorrectable = false;
         result.recheck_clean = true;
       }
@@ -353,7 +260,7 @@ AabftResult AabftMultiplier::settle(
     result.recheck_clean = false;
   }
 
-  result.c = codec_.strip(c_fc);
+  result.c = codec.strip(c_fc);
   result.c_fc = std::move(c_fc);
   return result;
 }

@@ -1,8 +1,8 @@
 // A-ABFT: the autonomously bounded, ABFT-protected matrix multiplication —
 // the paper's primary contribution, assembled from the pieces of Section V:
 //
-//   1. encode kernels: checksum encoding fused with p-max determination
-//      (Algorithm 1) for A (column checksums) and B (row checksums);
+//   1. encode: column checksums of A and row checksums of B, with the
+//      block-wise maxima that feed the bounds (Algorithm 1);
 //   2. the block-based matrix product (Algorithm 3 kernel);
 //   3. global reduction of block-wise maxima to p per vector;
 //   4. check kernel: autonomous rounding-error bounds, reference checksums,
@@ -12,6 +12,14 @@
 //
 // No calibration runs, no user-provided bounds: everything the check needs
 // is collected while encoding.
+//
+// The library runs the fused form of this pipeline (fused_gemm.hpp): a light
+// encode (steps 1 and 3 into compact side-buffers), then a product that
+// accumulates the checksums inside its k-panel loop and screens them per
+// panel, then steps 4-5. The paper's own kernels (Algorithm 1 encode and the
+// product over the materialised encoded operands) run as Table I's and
+// Figure 4's "a-abft" contender in baselines/schemes.hpp; both share the
+// recovery ladder below (settle).
 #pragma once
 
 #include <atomic>
@@ -19,7 +27,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "abft/bounds.hpp"
@@ -40,15 +47,10 @@ struct AabftConfig {
   std::size_t bs = 32;        ///< checksum block size (partitioned encoding)
   std::size_t p = 2;          ///< tracked maxima per vector (paper uses p = 2)
   BoundParams bounds;         ///< omega, FMA mode, bound policy
-  linalg::GemmConfig gemm;    ///< product-kernel blocking
+  /// Blocking of the product over materialised encoded operands: the repair
+  /// rungs' recomputes and the paper's kernels (baselines' contender).
+  linalg::GemmConfig gemm;
   bool correct_errors = true; ///< attempt single-error correction
-  /// Run the fused online-checking pipeline (fused_gemm.hpp): light encode +
-  /// product with the checksum accumulation folded into the k-panel loop and
-  /// screened per panel. Bit-identical to the classic path; the classic
-  /// encoded operands are materialised lazily, only when a repair rung needs
-  /// them. false selects the paper's kernels (Algorithm 1 encode, product
-  /// over the materialised A_cc / B_rc, check), as Table I's contender does.
-  bool fused_gemm = true;
   /// Fused-kernel blocking and screen parameters. use_fma is kept in sync
   /// with gemm.use_fma by set_fma() / the pipeline.
   FusedGemmConfig fused;
@@ -62,9 +64,9 @@ struct AabftConfig {
   /// errors), re-execute the product and check once more — the standard
   /// recovery for transient faults. 0 disables recomputation.
   std::size_t max_recompute_attempts = 1;
-  /// Cache-consistency guard for the preencoded (operand-cache) paths: every
-  /// N-th multiply_preencoded / multiply_batch_preencoded problem re-runs the
-  /// light encode of A and requires the cached side-buffer and p-max values
+  /// Cache-consistency guard for problems that arrive with A's light encode
+  /// (the operand cache's hit path): every N-th such problem re-runs the
+  /// light encode of A and requires the supplied side-buffer and p-max values
   /// to be bit-identical, throwing std::invalid_argument on a stale entry so
   /// soaks catch cache bugs instead of serving from them. 0 disables the
   /// check (the production default; the sampled check costs one extra encode
@@ -93,7 +95,6 @@ struct AabftResult {
   bool recheck_clean = true;           ///< the post-correction check passed
   std::size_t block_recomputes = 0;    ///< checksum blocks recomputed in place
   std::size_t recomputations = 0;      ///< full re-executions performed
-  bool fused = false;                  ///< produced by the fused pipeline
   std::size_t panel_detections = 0;    ///< online panel-screen mismatches
   std::size_t panel_recomputes = 0;    ///< tile panel replays (ladder rung 0)
 
@@ -105,66 +106,53 @@ struct AabftResult {
   }
 };
 
-/// A pre-encoded left operand: borrowed views of the padded matrix and its
-/// light encode (compact checksum side-buffer + p-max table). The serving
-/// operand cache owns the storage; the multiplier only reads through these
-/// pointers for the duration of one multiply. The classic pipeline
-/// materialises A_cc from the sums, a pure layout copy.
-struct PreencodedA {
+/// The operands of one protected product: borrowed A and B, read for the
+/// duration of the call and never copied, and optionally A's light encode
+/// (encode_columns_light of this very A, e.g. the serving operand cache's
+/// entry). A supplied encode replaces A's encode pass; results are
+/// bit-identical to encoding A afresh.
+struct Operands {
   const linalg::Matrix* a = nullptr;
-  const LightEncoded* light = nullptr;
+  const linalg::Matrix* b = nullptr;
+  const LightEncoded* a_light = nullptr;
 };
 
-/// One problem of a preencoded batch: the shared pre-encoded A and this
-/// request's B. Both pointers borrow; the batch call does not copy.
-struct PreencodedProblem {
-  const PreencodedA* a = nullptr;
-  const linalg::Matrix* b = nullptr;
-};
+/// Steps 4-5, shared by the library pipeline and the paper's kernels: check
+/// C_fc, then the recovery ladder `config` allows (correction, block
+/// recompute, full recompute), then strip. `k` is the unencoded inner
+/// dimension. The encoded-operand providers are invoked only by the repair
+/// rungs, so a caller may materialise A_cc / B_rc lazily.
+[[nodiscard]] AabftResult settle(
+    gpusim::Launcher& launcher, const AabftConfig& config,
+    const PartitionedCodec& codec, linalg::Matrix c_fc,
+    const PMaxTable& a_pmax, const PMaxTable& b_pmax, std::size_t k,
+    const std::function<const linalg::Matrix&()>& encoded_a,
+    const std::function<const linalg::Matrix&()>& encoded_b);
 
 class AabftMultiplier {
  public:
   AabftMultiplier(gpusim::Launcher& launcher, AabftConfig config);
 
   /// Protected multiply: C = A * B with autonomous error detection (and, if
-  /// configured, correction). Shape misuse — mismatched inner dimensions, or
+  /// configured, correction). `a_light`, when given, is A's light encode
+  /// (see Operands). Shape misuse — mismatched inner dimensions, or
   /// a.rows() / b.cols() not multiples of bs (pad beforehand, or use
   /// multiply_padded; the paper pads too) — is returned as an error, not
-  /// thrown (DESIGN.md §4.7).
-  [[nodiscard]] Result<AabftResult> multiply(const linalg::Matrix& a,
-                                             const linalg::Matrix& b);
+  /// thrown (DESIGN.md §4.7). A stale `a_light` caught by the sampled
+  /// consistency guard (cache_verify_every) throws.
+  [[nodiscard]] Result<AabftResult> multiply(
+      const linalg::Matrix& a, const linalg::Matrix& b,
+      const LightEncoded* a_light = nullptr);
 
   /// Protected multiply of independent problems, pipelined across streams:
   /// the encode of problem i+1 overlaps the product/check of problem i, and
-  /// whole problems run concurrently when workers allow. Results are
-  /// bit-identical to sequential multiply() calls and indexed like
-  /// `problems`. `streams` == 0 derives the lane count from the launcher's
-  /// worker count. Problems with invalid shapes yield errors in their slot;
-  /// the rest still run.
+  /// whole problems run concurrently when workers allow. Problems may share
+  /// operands (the repeated-weight serving case). Results are bit-identical
+  /// to sequential multiply() calls and indexed like `problems`. `streams`
+  /// == 0 derives the lane count from the launcher's worker count. Problems
+  /// with invalid shapes yield errors in their slot; the rest still run.
   [[nodiscard]] std::vector<Result<AabftResult>> multiply_batch(
-      std::span<const std::pair<linalg::Matrix, linalg::Matrix>> problems,
-      std::size_t streams = 0);
-
-  /// Protected multiply with a pre-encoded A (operand-cache hit path): the
-  /// O(m k) encode of A is skipped entirely — both pipelines consume the
-  /// cached side-buffers, and results are bit-identical to multiply(*pre.a,
-  /// b). Shape misuse comes back as an error; a stale cache entry caught by
-  /// the sampled consistency guard (cache_verify_every) throws.
-  [[nodiscard]] Result<AabftResult> multiply_preencoded(const PreencodedA& pre,
-                                                        const linalg::Matrix& b);
-
-  /// Batch counterpart of multiply_preencoded, pipelined across streams like
-  /// multiply_batch. Problems may share one PreencodedA (the repeated-weight
-  /// serving case) or mix different ones; results are indexed like
-  /// `problems` and bit-identical to sequential multiply_preencoded calls.
-  [[nodiscard]] std::vector<Result<AabftResult>> multiply_batch_preencoded(
-      std::span<const PreencodedProblem> problems, std::size_t streams = 0);
-
-  /// Epsilon-trace variant for the bound-quality experiments (Tables II-IV):
-  /// identical to multiply() but records every epsilon the check computed.
-  [[nodiscard]] AabftResult multiply_traced(const linalg::Matrix& a,
-                                            const linalg::Matrix& b,
-                                            EpsilonTrace& trace);
+      std::span<const Operands> problems, std::size_t streams = 0);
 
   /// Convenience for arbitrary shapes: zero-pads A's rows and B's columns up
   /// to the next block multiple (checksum-neutral, see padding.hpp), runs the
@@ -178,22 +166,11 @@ class AabftMultiplier {
 
  private:
   AabftResult run(const linalg::Matrix& a, const linalg::Matrix& b,
-                  EpsilonTrace* trace, const PreencodedA* pre_a = nullptr);
-  AabftResult run_fused(const linalg::Matrix& a, const linalg::Matrix& b,
-                        EpsilonTrace* trace, const PreencodedA* pre_a);
+                  const LightEncoded* a_light);
   /// The sampled cache-consistency guard (config().cache_verify_every):
-  /// re-derives A's light encode and requires bit-identity with the cached
-  /// one. Throws std::invalid_argument on a stale entry.
-  void maybe_verify_preencoded(const linalg::Matrix& a, const PreencodedA& pre);
-  /// Steps 4-5 shared by the classic and fused pipelines: check, then the
-  /// recovery ladder (correction, block recompute, full recompute), then
-  /// strip. The encoded-operand providers are only invoked by repair rungs —
-  /// the fused pipeline materialises them lazily.
-  AabftResult settle(linalg::Matrix c_fc, const PMaxTable& a_pmax,
-                     const PMaxTable& b_pmax, std::size_t k,
-                     EpsilonTrace* trace,
-                     const std::function<const linalg::Matrix&()>& encoded_a,
-                     const std::function<const linalg::Matrix&()>& encoded_b);
+  /// re-derives A's light encode and requires bit-identity with the
+  /// supplied one. Throws std::invalid_argument on a stale entry.
+  void maybe_verify_light(const linalg::Matrix& a, const LightEncoded& light);
   /// Recoverable-misuse check shared by multiply and multiply_batch.
   [[nodiscard]] std::optional<Error> validate(const linalg::Matrix& a,
                                               const linalg::Matrix& b) const;
@@ -201,9 +178,10 @@ class AabftMultiplier {
   gpusim::Launcher& launcher_;
   AabftConfig config_;
   PartitionedCodec codec_;
-  /// Preencoded problems served so far (drives the 1-in-N sampling of the
-  /// consistency guard); relaxed — exact sampling phase is irrelevant.
-  std::atomic<std::uint64_t> preencoded_served_{0};
+  /// Problems served with a supplied light encode so far (drives the 1-in-N
+  /// sampling of the consistency guard); relaxed — exact sampling phase is
+  /// irrelevant.
+  std::atomic<std::uint64_t> light_served_{0};
 };
 
 }  // namespace aabft::abft

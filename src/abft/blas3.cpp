@@ -129,7 +129,6 @@ CholResult ProtectedCholesky::factor(const Matrix& a) {
   retry.faults_detected += first.faults_detected;
   retry.panel_detections += first.panel_detections;
   retry.panel_recomputes += first.panel_recomputes;
-  retry.fused_updates = retry.fused_updates || first.fused_updates;
   retry.corrections += first.corrections;
   retry.block_recomputes += first.block_recomputes;
   retry.recomputations += first.recomputations;
@@ -201,7 +200,6 @@ CholResult ProtectedCholesky::factor_once(const Matrix& a) {
     if (update.error_detected()) ++result.faults_detected;
     result.panel_detections += update.panel_detections;
     result.panel_recomputes += update.panel_recomputes;
-    if (update.fused) result.fused_updates = true;
     result.corrections += update.corrections.size();
     result.block_recomputes += update.block_recomputes;
     result.recomputations += update.recomputations;

@@ -1,7 +1,7 @@
 // Fused online-checking GEMM: checksum encoding folded into the product.
 //
-// The classic pipeline materialises A_cc / B_rc with standalone encode
-// kernels before the product runs — an O(n^2) pass whose measured cost
+// The paper's pipeline materialises A_cc / B_rc with standalone encode
+// kernels (Algorithm 1) before the product runs — an O(n^2) pass whose cost
 // (BENCH_fastpath.json) dominated small/medium protected GEMMs. Following
 // the FT-GEMM / "online fault tolerance" fusion idea, this module splits the
 // encode into
@@ -111,7 +111,7 @@ FusedProduct fused_encode_matmul(gpusim::Launcher& launcher,
                                  const PartitionedCodec& codec,
                                  const FusedGemmConfig& config);
 
-/// Materialise the classic encoded operands from a light encode — the rare
+/// Materialise the encoded operands A_cc / B_rc from a light encode — the rare
 /// path (correction / block recompute / full recompute all operate on the
 /// encoded operands). Pure layout copies: bit-identical to the data matrices
 /// encode_columns / encode_rows produce.

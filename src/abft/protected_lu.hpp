@@ -40,7 +40,6 @@ struct LuResult {
   std::size_t faults_detected = 0;     ///< updates that flagged an error
   std::size_t panel_detections = 0;    ///< online k-panel screen mismatches
   std::size_t panel_recomputes = 0;    ///< fused-update tile panel replays
-  bool fused_updates = false;          ///< updates ran the fused pipeline
   std::size_t corrections = 0;         ///< localised repairs applied
   std::size_t block_recomputes = 0;    ///< checksum blocks recomputed in place
   std::size_t recomputations = 0;      ///< transient-fault re-executions

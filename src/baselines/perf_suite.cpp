@@ -23,13 +23,14 @@ void price(SchemePerf& perf, std::size_t n) {
 }
 
 SchemePerf run_one(gpusim::Launcher& launcher, std::size_t n,
-                   ProtectedMultiplier& scheme, const linalg::Matrix& a,
+                   ProtectedBlas3& scheme, const linalg::Matrix& a,
                    const linalg::Matrix& b) {
   launcher.clear_launch_log();
   const auto t0 = std::chrono::steady_clock::now();
   SchemePerf perf;
   perf.scheme = std::string(scheme.name());
-  const auto result = scheme.multiply(a, b);
+  const auto result =
+      scheme.execute(OpDescriptor::gemm(a.rows(), a.cols(), b.cols()), a, b);
   AABFT_ASSERT(result.ok(), "perf-suite multiply refused valid shapes");
   perf.false_positive = result->detected;
   perf.host_seconds =

@@ -4,7 +4,7 @@
 // integration tests that lock in the paper's performance *shape* (ordering
 // and gap trends).
 //
-// The suite iterates the schemes through the shared ProtectedMultiplier
+// The suite iterates the schemes through the shared ProtectedBlas3
 // interface (baselines/scheme.hpp) — adding a contender means adding it to
 // make_schemes, not touching this driver.
 #pragma once
@@ -21,7 +21,7 @@
 namespace aabft::baselines {
 
 struct SchemePerf {
-  std::string scheme;          ///< ProtectedMultiplier::name() key
+  std::string scheme;          ///< ProtectedBlas3::name() key
   double model_gflops = 0.0;   ///< 2 n^3 / modelled K20C seconds
   double model_seconds = 0.0;
   double host_seconds = 0.0;   ///< wall clock of the simulation itself

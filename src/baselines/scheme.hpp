@@ -13,13 +13,9 @@
 // does not implement is a recoverable refusal (ErrorCode::kUnsupportedOp),
 // never an assertion.
 //
-// Three facets:
+// Two facets:
 //   - execute / execute_batch: run the scheme's *full* pipeline on raw
 //     operands and report what happened through the shared OpOutcome core.
-//   - multiply / multiply_batch: non-virtual GEMM compatibility shims.
-//     They build the GEMM descriptor and forward to execute(), so the
-//     pre-redesign drivers keep their exact call shape — and the GEMM path
-//     stays bit-identical to the old ProtectedMultiplier interface.
 //   - ProductChecker (optional, via make_checker): check an *externally
 //     computed* full-checksum product. Fault-injection campaigns need this —
 //     both ABFT contenders must judge the same faulty product so the
@@ -36,9 +32,9 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "abft/aabft.hpp"
 #include "abft/checksum.hpp"
 #include "abft/encoder.hpp"
 #include "baselines/op.hpp"
@@ -74,18 +70,11 @@ struct [[nodiscard]] OpOutcome {
   /// other scheme/path.
   std::size_t panel_detections = 0;
   std::size_t panel_recomputes = 0;
-  /// The operation's checksums were accumulated inside the product kernel
-  /// (fused pipeline) instead of a standalone encode pass.
-  bool fused_encode = false;
   /// The scheme believes the returned result is fault-free (always true for
   /// schemes without detection; false when detection fired and neither
   /// correction nor recomputation resolved it).
   bool clean = true;
 };
-
-/// Pre-redesign name of the outcome core; the fields GEMM drivers consume
-/// are unchanged.
-using SchemeResult = OpOutcome;
 
 /// Checks an externally computed full-checksum product (see header comment).
 /// A checker may hold references into the ProductCheckContext it was created
@@ -130,33 +119,18 @@ class ProtectedBlas3 {
                                                   const linalg::Matrix& a,
                                                   const linalg::Matrix& b) = 0;
 
-  /// Execute independent problems of one op kind. The default runs them
-  /// sequentially; schemes with a pipelined implementation (A-ABFT GEMM)
-  /// override it to overlap problems across streams. Result i always
-  /// corresponds to problem i and is bit-identical to a sequential
-  /// execute(problems[i]).
+  /// Execute independent problems of one op kind over borrowed operands.
+  /// The default runs them sequentially and ignores a supplied a_light;
+  /// schemes with a pipelined implementation (A-ABFT GEMM) override it to
+  /// overlap problems across streams. Result i always corresponds to problem
+  /// i and is bit-identical to a sequential execute(problems[i]).
   [[nodiscard]] virtual std::vector<Result<OpOutcome>> execute_batch(
-      OpKind kind,
-      std::span<const std::pair<linalg::Matrix, linalg::Matrix>> problems) {
+      OpKind kind, std::span<const abft::Operands> problems) {
     std::vector<Result<OpOutcome>> out;
     out.reserve(problems.size());
-    for (const auto& [a, b] : problems)
-      out.push_back(execute(OpDescriptor::of(kind, a, b), a, b));
+    for (const abft::Operands& p : problems)
+      out.push_back(execute(OpDescriptor::of(kind, *p.a, *p.b), *p.a, *p.b));
     return out;
-  }
-
-  /// GEMM compatibility shim: C = A * B with this scheme's protection.
-  /// Exactly execute() with the GEMM descriptor — same validation, same
-  /// bits, same bookkeeping as the pre-redesign ProtectedMultiplier API.
-  [[nodiscard]] Result<OpOutcome> multiply(const linalg::Matrix& a,
-                                           const linalg::Matrix& b) {
-    return execute(OpDescriptor::gemm(a.rows(), a.cols(), b.cols()), a, b);
-  }
-
-  /// GEMM batch compatibility shim (see multiply).
-  [[nodiscard]] std::vector<Result<OpOutcome>> multiply_batch(
-      std::span<const std::pair<linalg::Matrix, linalg::Matrix>> problems) {
-    return execute_batch(OpKind::kGemm, problems);
   }
 
   /// Checker over an already-encoded operand pair, or nullptr when the
@@ -166,9 +140,5 @@ class ProtectedBlas3 {
     return nullptr;
   }
 };
-
-/// Pre-redesign name of the scheme interface (GEMM drivers use the multiply
-/// shims and never see the descriptor).
-using ProtectedMultiplier = ProtectedBlas3;
 
 }  // namespace aabft::baselines

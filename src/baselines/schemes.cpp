@@ -8,6 +8,7 @@
 #include "abft/blas3.hpp"
 #include "abft/checker.hpp"
 #include "abft/protected_lu.hpp"
+#include "core/require.hpp"
 
 namespace aabft::baselines {
 
@@ -105,15 +106,14 @@ class SeaAbftChecker final : public ProductChecker {
   SeaBounds bounds_;
 };
 
-SchemeResult to_scheme_result(abft::AabftResult raw) {
-  SchemeResult result;
+OpOutcome gemm_outcome(abft::AabftResult raw) {
+  OpOutcome result;
   result.c = std::move(raw.c);
   result.detected = raw.error_detected();
   result.corrected = !raw.corrections.empty() && raw.recheck_clean;
   result.corrections = raw.corrections.size();
   result.panel_detections = raw.panel_detections;
   result.panel_recomputes = raw.panel_recomputes;
-  result.fused_encode = raw.fused;
   result.block_recomputes = raw.block_recomputes;
   result.recomputed = raw.recomputations;
   result.clean = !raw.uncorrectable && raw.recheck_clean;
@@ -130,7 +130,6 @@ Result<OpOutcome> chol_outcome(abft::CholResult raw) {
   out.corrections = raw.corrections;
   out.panel_detections = raw.panel_detections;
   out.panel_recomputes = raw.panel_recomputes;
-  out.fused_encode = raw.fused_updates;
   out.block_recomputes = raw.block_recomputes;
   // Panel-level full repairs: per-update re-executions plus whole-factor
   // restarts after a carry mismatch.
@@ -152,7 +151,6 @@ Result<OpOutcome> lu_outcome(abft::LuResult raw) {
   out.corrections = raw.corrections;
   out.panel_detections = raw.panel_detections;
   out.panel_recomputes = raw.panel_recomputes;
-  out.fused_encode = raw.fused_updates;
   out.block_recomputes = raw.block_recomputes;
   out.recomputed = raw.recomputations + raw.factor_restarts;
   out.protected_updates = raw.protected_updates;
@@ -216,7 +214,7 @@ UnprotectedScheme::UnprotectedScheme(gpusim::Launcher& launcher,
 Result<OpOutcome> UnprotectedScheme::execute(const OpDescriptor& desc,
                                              const Matrix& a,
                                              const Matrix& b) {
-  SchemeResult result;
+  OpOutcome result;
   switch (desc.kind) {
     case OpKind::kGemm: {
       if (auto err = validate_shapes(a, b, 0)) return *err;
@@ -256,7 +254,7 @@ Result<OpOutcome> FixedAbftScheme::execute(const OpDescriptor& desc,
   if (desc.kind != OpKind::kGemm) return unsupported(name(), desc.kind);
   if (auto err = validate_shapes(a, b, bs_)) return *err;
   FixedAbftResult raw = mult_.multiply(a, b);
-  SchemeResult result;
+  OpOutcome result;
   result.c = std::move(raw.c);
   result.detected = raw.error_detected();
   result.clean = !result.detected;  // detection-only scheme
@@ -273,16 +271,22 @@ AabftScheme::AabftScheme(gpusim::Launcher& launcher, abft::AabftConfig config)
 
 Result<OpOutcome> AabftScheme::execute(const OpDescriptor& desc,
                                        const Matrix& a, const Matrix& b) {
+  return execute(desc, abft::Operands{&a, &b});
+}
+
+Result<OpOutcome> AabftScheme::execute(const OpDescriptor& desc,
+                                       const abft::Operands& ops) {
+  const Matrix& a = *ops.a;
   switch (desc.kind) {
     case OpKind::kGemm: {
-      Result<abft::AabftResult> raw = mult_.multiply(a, b);
+      Result<abft::AabftResult> raw = mult_.multiply(a, *ops.b, ops.a_light);
       if (!raw.ok()) return raw.error();
-      return to_scheme_result(std::move(raw).value());
+      return gemm_outcome(std::move(raw).value());
     }
     case OpKind::kSyrk: {
       if (auto err = validate_single_operand(desc, a)) return *err;
       abft::ProtectedSyrk syrk(launcher_, mult_.config());
-      return to_scheme_result(syrk.multiply(a));
+      return gemm_outcome(syrk.multiply(a));
     }
     case OpKind::kCholesky: {
       if (auto err = validate_single_operand(desc, a)) return *err;
@@ -306,7 +310,7 @@ Result<OpOutcome> AabftScheme::execute(const OpDescriptor& desc,
 }
 
 std::vector<Result<OpOutcome>> AabftScheme::execute_batch(
-    OpKind kind, std::span<const std::pair<Matrix, Matrix>> problems) {
+    OpKind kind, std::span<const abft::Operands> problems) {
   if (kind != OpKind::kGemm)
     return ProtectedBlas3::execute_batch(kind, problems);  // sequential
   std::vector<Result<abft::AabftResult>> raw = mult_.multiply_batch(problems);
@@ -314,38 +318,48 @@ std::vector<Result<OpOutcome>> AabftScheme::execute_batch(
   out.reserve(raw.size());
   for (auto& r : raw) {
     if (r.ok())
-      out.push_back(to_scheme_result(std::move(r).value()));
+      out.push_back(gemm_outcome(std::move(r).value()));
     else
       out.push_back(r.error());
   }
   return out;
 }
 
-Result<OpOutcome> AabftScheme::execute_preencoded(const abft::PreencodedA& pre,
-                                                  const Matrix& b) {
-  Result<abft::AabftResult> raw = mult_.multiply_preencoded(pre, b);
+PaperAabftScheme::PaperAabftScheme(gpusim::Launcher& launcher,
+                                   abft::AabftConfig config)
+    : launcher_(launcher), config_(config), codec_(config.bs) {
+  AABFT_REQUIRE(config_.valid(), "invalid A-ABFT configuration");
+}
+
+Result<OpOutcome> PaperAabftScheme::execute(const OpDescriptor& desc,
+                                            const Matrix& a, const Matrix& b) {
+  if (desc.kind != OpKind::kGemm) return unsupported(name(), desc.kind);
+  Result<abft::AabftResult> raw = multiply(a, b);
   if (!raw.ok()) return raw.error();
-  return to_scheme_result(std::move(raw).value());
+  return gemm_outcome(std::move(raw).value());
 }
 
-std::vector<Result<OpOutcome>> AabftScheme::execute_batch_preencoded(
-    std::span<const abft::PreencodedProblem> problems) {
-  std::vector<Result<abft::AabftResult>> raw =
-      mult_.multiply_batch_preencoded(problems);
-  std::vector<Result<OpOutcome>> out;
-  out.reserve(raw.size());
-  for (auto& r : raw) {
-    if (r.ok())
-      out.push_back(to_scheme_result(std::move(r).value()));
-    else
-      out.push_back(r.error());
-  }
-  return out;
+Result<abft::AabftResult> PaperAabftScheme::multiply(const Matrix& a,
+                                                     const Matrix& b) {
+  if (auto err = validate_shapes(a, b, config_.bs)) return *err;
+  // Steps 1 and 3: encode + blockwise maxima (Algorithm 1), with the global
+  // p-max reduction launched inside encode_* right after.
+  const abft::EncodedMatrix a_cc =
+      abft::encode_columns(launcher_, a, codec_, config_.p);
+  const abft::EncodedMatrix b_rc =
+      abft::encode_rows(launcher_, b, codec_, config_.p);
+  // Step 2: the block-based product over the encoded operands (Algorithm 3).
+  Matrix c_fc = linalg::blocked_matmul(launcher_, a_cc.data, b_rc.data,
+                                       config_.gemm);
+  return abft::settle(
+      launcher_, config_, codec_, std::move(c_fc), a_cc.pmax, b_rc.pmax,
+      a.cols(), [&]() -> const Matrix& { return a_cc.data; },
+      [&]() -> const Matrix& { return b_rc.data; });
 }
 
-std::unique_ptr<ProductChecker> AabftScheme::make_checker(
+std::unique_ptr<ProductChecker> PaperAabftScheme::make_checker(
     const ProductCheckContext& ctx) {
-  return std::make_unique<AabftChecker>(ctx, mult_.config().bounds);
+  return std::make_unique<AabftChecker>(ctx, config_.bounds);
 }
 
 SeaAbftScheme::SeaAbftScheme(gpusim::Launcher& launcher, SeaAbftConfig config)
@@ -356,7 +370,7 @@ Result<OpOutcome> SeaAbftScheme::execute(const OpDescriptor& desc,
   if (desc.kind != OpKind::kGemm) return unsupported(name(), desc.kind);
   if (auto err = validate_shapes(a, b, bs_)) return *err;
   SeaAbftResult raw = mult_.multiply(a, b);
-  SchemeResult result;
+  OpOutcome result;
   result.c = std::move(raw.c);
   result.detected = raw.error_detected();
   result.clean = !result.detected;  // detection-only scheme
@@ -387,7 +401,7 @@ Result<OpOutcome> TmrScheme::execute(const OpDescriptor& desc, const Matrix& a,
         return *err;
       }
       TmrResult raw = mult_.multiply(a, *rhs);
-      SchemeResult result;
+      OpOutcome result;
       result.c = std::move(raw.c);
       result.detected = raw.error_detected();
       // Majority voting repairs any element where two replicas still agree.
@@ -414,7 +428,7 @@ Result<OpOutcome> DiverseTmrScheme::execute(const OpDescriptor& desc,
   if (desc.kind != OpKind::kGemm) return unsupported(name(), desc.kind);
   if (auto err = validate_shapes(a, b, 0)) return *err;
   DiverseTmrResult raw = mult_.multiply(a, b);
-  SchemeResult result;
+  OpOutcome result;
   result.c = std::move(raw.c);
   result.detected = raw.error_detected();
   result.corrected =
@@ -441,12 +455,11 @@ std::vector<std::unique_ptr<ProtectedBlas3>> make_schemes(
   aabft.p = config.p;
   aabft.bounds = config.bounds;
   aabft.gemm = config.gemm;
-  // Table I compares the paper's kernels. The fused product's (bs+1)-wide
-  // tiles skip the padding to 32-wide tiles that fixed ABFT pays at small n,
-  // so a fused contender reads as a gap to ABFT that widens with n
+  // Table I compares the paper's kernels. The library's fused product's
+  // (bs+1)-wide tiles skip the padding to 32-wide tiles that fixed ABFT pays
+  // at small n, so it would read as a gap to ABFT that widens with n
   // (EXPERIMENTS.md, Table I).
-  aabft.fused_gemm = false;
-  schemes.push_back(std::make_unique<AabftScheme>(launcher, aabft));
+  schemes.push_back(std::make_unique<PaperAabftScheme>(launcher, aabft));
 
   SeaAbftConfig sea;
   sea.bs = config.bs;

@@ -8,8 +8,12 @@
 // the detail.
 //
 // Operation coverage:
-//   - a-abft:      GEMM, SYRK, Cholesky, LU — the full protected family
-//                  (factorizations via the checksum-carry panel engines).
+//   - a-abft:      two schemes share the name. The library's (AabftScheme)
+//                  covers GEMM, SYRK, Cholesky, LU — the full protected
+//                  family (factorizations via the checksum-carry panel
+//                  engines). The paper's kernels (PaperAabftScheme, the
+//                  Table I / Figure 4 contender make_schemes returns) are
+//                  GEMM only.
 //   - unprotected: GEMM, SYRK, Cholesky, LU — raw references, no checking.
 //   - tmr:         GEMM/SYRK by element-voting replicas, Cholesky/LU by
 //                  whole-result majority vote over three raw factorizations
@@ -94,26 +98,46 @@ class AabftScheme final : public ProtectedBlas3 {
   [[nodiscard]] Result<OpOutcome> execute(const OpDescriptor& desc,
                                           const linalg::Matrix& a,
                                           const linalg::Matrix& b) override;
-  /// GEMM batches pipeline across streams (AabftMultiplier::multiply_batch);
-  /// other op kinds run sequentially.
+  /// execute() over borrowed operands: a GEMM's supplied ops.a_light (the
+  /// operand cache's hit path) replaces A's encode pass, bit-identically.
+  /// Other op kinds ignore it.
+  [[nodiscard]] Result<OpOutcome> execute(const OpDescriptor& desc,
+                                          const abft::Operands& ops);
+  /// GEMM batches pipeline across streams (AabftMultiplier::multiply_batch)
+  /// and honour each problem's a_light; other op kinds run sequentially.
   [[nodiscard]] std::vector<Result<OpOutcome>> execute_batch(
-      OpKind kind,
-      std::span<const std::pair<linalg::Matrix, linalg::Matrix>> problems)
-      override;
-  /// Preencoded-A GEMM entry points for the serving layer's operand cache:
-  /// A's checksum artifacts come from the cache's one-time encode instead of
-  /// a per-request encode pass. Bit-identical to execute()/execute_batch()
-  /// on the same operands (see AabftMultiplier::multiply_preencoded).
-  [[nodiscard]] Result<OpOutcome> execute_preencoded(
-      const abft::PreencodedA& pre, const linalg::Matrix& b);
-  [[nodiscard]] std::vector<Result<OpOutcome>> execute_batch_preencoded(
-      std::span<const abft::PreencodedProblem> problems);
+      OpKind kind, std::span<const abft::Operands> problems) override;
+
+ private:
+  gpusim::Launcher& launcher_;
+  abft::AabftMultiplier mult_;
+};
+
+/// The paper's A-ABFT kernels as a GEMM-only contender: Algorithm 1 encode
+/// of A and B (with the p-max reduction), the blocked product over the
+/// materialised A_cc / B_rc (Algorithm 3), then the check and recovery
+/// ladder the library shares (abft::settle). Table I prices these launches
+/// and Figure 4 uses its checker; `config.fused` is not used.
+class PaperAabftScheme final : public ProtectedBlas3 {
+ public:
+  PaperAabftScheme(gpusim::Launcher& launcher, abft::AabftConfig config = {});
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "a-abft";
+  }
+  [[nodiscard]] Result<OpOutcome> execute(const OpDescriptor& desc,
+                                          const linalg::Matrix& a,
+                                          const linalg::Matrix& b) override;
+  /// The GEMM with its full AabftResult (check report, corrections, c_fc);
+  /// shape misuse is returned as an error.
+  [[nodiscard]] Result<abft::AabftResult> multiply(const linalg::Matrix& a,
+                                                   const linalg::Matrix& b);
   [[nodiscard]] std::unique_ptr<ProductChecker> make_checker(
       const ProductCheckContext& ctx) override;
 
  private:
   gpusim::Launcher& launcher_;
-  abft::AabftMultiplier mult_;
+  abft::AabftConfig config_;
+  abft::PartitionedCodec codec_;
 };
 
 class SeaAbftScheme final : public ProtectedBlas3 {

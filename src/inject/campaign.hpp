@@ -9,7 +9,7 @@
 //
 // Every contender that can check an externally computed product (the ABFT
 // family: fixed-abft, a-abft, sea-abft — discovered generically through
-// ProtectedMultiplier::make_checker) judges the *same* faulty product: the
+// ProtectedBlas3::make_checker) judges the *same* faulty product: the
 // schemes share encode and multiply and differ only in the bound
 // computation, so per-trial comparisons are paired and unbiased (and cost
 // one GEMM for all schemes instead of one each).

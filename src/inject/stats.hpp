@@ -51,7 +51,7 @@ struct SchemeDetectionStats {
 
 /// Detection record of one scheme across a campaign.
 struct SchemeDetection {
-  std::string scheme;  ///< ProtectedMultiplier::name() key
+  std::string scheme;  ///< ProtectedBlas3::name() key
   SchemeDetectionStats stats;
   std::size_t false_positive_runs = 0;  ///< clean-run mis-detections
 };

@@ -59,8 +59,6 @@ Result<std::uint64_t> OperandCache::register_operand(const linalg::Matrix& a) {
                  "operand entry of " + std::to_string(entry->bytes) +
                      " bytes exceeds the cache byte budget of " +
                      std::to_string(config_.byte_budget)};
-  entry->pre.a = &entry->padded;
-  entry->pre.light = &entry->light;
 
   core::MutexLock lk(mu_);
   // A concurrent registration of the same content may have won the race

@@ -7,11 +7,12 @@
 // per-request cost into a one-time cost: register_operand() pads A to a
 // checksum-block multiple and runs encode_columns_light once (the compact
 // checksum side-buffer + p-max table of the fused pipeline); requests that
-// reference the entry (by explicit handle or by content fingerprint) consume
-// the cached artifacts through abft::PreencodedA and skip A's encode
-// entirely. Results are bit-identical to the cold path: the cached sums are
-// exactly what a fresh encode produces, and the sampled consistency guard
-// (AabftConfig::cache_verify_every) enforces that invariant in debug soaks.
+// reference the entry (by explicit handle or by content fingerprint) hand
+// the cached encode to the multiplier (abft::Operands::a_light) and skip A's
+// encode entirely. Results are bit-identical to the cold path: the cached
+// sums are exactly what a fresh encode produces, and the sampled consistency
+// guard (AabftConfig::cache_verify_every) enforces that invariant in debug
+// soaks.
 //
 // Eviction is LRU under a configurable byte budget, with pin semantics: an
 // entry referenced by an admitted-but-unfinished request holds a Pin (a
@@ -63,8 +64,7 @@ struct OpCacheConfig {
 class OperandCache {
  public:
   /// One cached operand. Immutable once published (the index hands out
-  /// shared_ptr snapshots); `pre` is the borrowed-view bundle the abft
-  /// preencoded paths consume.
+  /// shared_ptr snapshots); requests borrow `padded` and `light`.
   struct Entry {
     std::uint64_t handle = 0;
     std::uint64_t fingerprint = 0;
@@ -72,7 +72,6 @@ class OperandCache {
     std::size_t orig_cols = 0;
     linalg::Matrix padded;      ///< rows padded to a checksum-block multiple
     abft::LightEncoded light;   ///< compact checksum side-buffer + p-max
-    abft::PreencodedA pre;      ///< views over the fields above
     std::size_t bytes = 0;      ///< budget charge of this entry
     /// Outstanding pins; > 0 blocks eviction. Lock-free so pin release never
     /// takes the cache lock.

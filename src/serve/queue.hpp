@@ -34,8 +34,8 @@ struct PendingRequest {
   std::size_t orig_q = 0;
   std::uint64_t est_flops = 0;  ///< the admission backlog-model charge
   /// Resolved operand-cache handle (explicit or from an implicit fingerprint
-  /// hit; 0 = cold). Part of the batch key so cached-A batches coalesce and
-  /// every batch is uniformly cached or uniformly cold.
+  /// hit; 0 = cold). Part of the batch key so requests sharing one cached A
+  /// coalesce.
   std::uint64_t a_handle = 0;
   /// The pinned cache entry backing a_handle. Acquired at admission — not at
   /// dispatch — so the entry cannot be evicted while this request waits in
@@ -53,8 +53,8 @@ struct ShapeKey {
   std::size_t m = 0;
   std::size_t k = 0;
   std::size_t q = 0;
-  /// Resolved operand-cache handle (0 = cold). Keying on it keeps batches
-  /// uniformly cached-A or uniformly cold, so one dispatch runs one pipeline.
+  /// Resolved operand-cache handle (0 = cold). Keying on it batches the
+  /// requests that share one cached A together.
   std::uint64_t a_handle = 0;
   [[nodiscard]] bool operator==(const ShapeKey&) const noexcept = default;
 };

@@ -4,7 +4,7 @@
 
 namespace aabft::serve {
 
-RecoveryRung rung_of(const baselines::SchemeResult& r) noexcept {
+RecoveryRung rung_of(const baselines::OpOutcome& r) noexcept {
   if (!r.detected) return RecoveryRung::kNone;
   if (r.recomputed > 0) return RecoveryRung::kFullRecompute;
   if (r.block_recomputes > 0) return RecoveryRung::kBlockRecompute;
@@ -19,13 +19,13 @@ RecoveryOutcome run_ladder(baselines::ProtectedBlas3& primary,
                            baselines::ProtectedBlas3* tmr,
                            const baselines::OpDescriptor& desc,
                            const linalg::Matrix& a, const linalg::Matrix& b,
-                           Result<baselines::SchemeResult> first,
+                           Result<baselines::OpOutcome> first,
                            const RecoveryPolicy& policy) {
   RecoveryOutcome outcome;
 
   // Keep the latest unclean result around so a failed response still carries
   // the best data we have (status kFailed tells the caller not to trust it).
-  auto consider = [&](Result<baselines::SchemeResult>&& r,
+  auto consider = [&](Result<baselines::OpOutcome>&& r,
                       RecoveryRung rung_if_clean) {
     if (!r.ok()) {
       outcome.diagnosis = r.error().message;

@@ -31,7 +31,7 @@ struct RecoveryPolicy {
 struct RecoveryOutcome {
   /// The settled scheme result; nullopt only when every rung (including the
   /// first pass) was refused as a value error.
-  std::optional<baselines::SchemeResult> result;
+  std::optional<baselines::OpOutcome> result;
   RecoveryRung rung = RecoveryRung::kNone;
   std::size_t retries = 0;
   bool tmr_escalated = false;
@@ -40,7 +40,7 @@ struct RecoveryOutcome {
 };
 
 /// Map a clean in-scheme result onto the deepest rung that ran.
-[[nodiscard]] RecoveryRung rung_of(const baselines::SchemeResult& r) noexcept;
+[[nodiscard]] RecoveryRung rung_of(const baselines::OpOutcome& r) noexcept;
 
 /// Climb the serve-level rungs for one operation. `first` is the result of
 /// the already-run primary execute (possibly with faults armed); retries and
@@ -50,7 +50,7 @@ struct RecoveryOutcome {
 [[nodiscard]] RecoveryOutcome run_ladder(
     baselines::ProtectedBlas3& primary, baselines::ProtectedBlas3* tmr,
     const baselines::OpDescriptor& desc, const linalg::Matrix& a,
-    const linalg::Matrix& b, Result<baselines::SchemeResult> first,
+    const linalg::Matrix& b, Result<baselines::OpOutcome> first,
     const RecoveryPolicy& policy);
 
 }  // namespace aabft::serve

@@ -1,9 +1,9 @@
 // Request/response types of the protected BLAS-3 serving layer.
 //
-// A GemmRequest (historical name; `OpRequest` is the kind-neutral alias) is
-// one protected operation a tenant submits: an op kind (GEMM, SYRK,
-// Cholesky, LU), operands, a priority class, an optional latency deadline,
-// and (for fault-campaign traffic) a per-request fault plan armed for
+// A GemmRequest (historical name: it serves every op kind) is one protected
+// operation a tenant submits: an op kind (GEMM, SYRK, Cholesky, LU),
+// operands, a priority class, an optional latency deadline, and (for
+// fault-campaign traffic) a per-request fault plan armed for
 // exactly this request's protected compute. Single-operand kinds (SYRK and
 // the factorizations) read only `a`; `b` may be left empty. The response
 // carries the data result (plus the pivot permutation for LU), the scheme's
@@ -100,8 +100,6 @@ struct RequestTrace {
   std::size_t full_recomputes = 0;   ///< in-scheme full re-executions
   std::size_t retries = 0;           ///< serve-level re-dispatches
   bool tmr_escalated = false;
-  /// Checksums were accumulated inside the product kernel (fused pipeline).
-  bool fused_encode = false;
   /// A's encode came from the operand cache (explicit handle or implicit
   /// fingerprint match) instead of a per-request encode pass.
   bool cache_hit = false;
@@ -123,10 +121,6 @@ struct GemmResponse {
   std::string diagnosis;  ///< failure description when status == kFailed
   RequestTrace trace;
 };
-
-/// Kind-neutral aliases: the request/response types serve every op kind.
-using OpRequest = GemmRequest;
-using OpResponse = GemmResponse;
 
 inline std::string_view to_string(RecoveryRung rung) noexcept {
   switch (rung) {

@@ -125,24 +125,21 @@ void GemmServer::serve_batch(std::vector<PendingRequest>&& batch) {
   const std::size_t n = batch.size();
   const std::uint64_t dispatch_ns = now_ns();
   bool any_faults = false;
-  // The batch key includes the resolved operand handle, so a batch is
-  // uniformly cache-backed or uniformly cold.
-  const bool cached = batch.front().pin != nullptr;
-  std::vector<std::pair<linalg::Matrix, linalg::Matrix>> problems;
-  problems.reserve(n);
+  // Borrowed operands, never copied: a cache-backed request reads the pinned
+  // padded A and its light encode (the pin keeps both alive through the
+  // recovery ladder), a cold request its own inline A.
+  std::vector<abft::Operands> operands;
+  operands.reserve(n);
   for (auto& item : batch) {
     item.trace.dispatch_ns = dispatch_ns;
     item.trace.batch_size = n;
     item.trace.faults_armed = item.request.fault_plan.size();
     any_faults |= !item.request.fault_plan.empty();
-    // Cache-backed requests copy the pinned padded A into the problem slot:
-    // the recovery ladder's retry/TMR rungs need a real operand, and the
-    // copy is a memcpy — the O(m k) encode pass is what the cache elides.
-    if (cached)
-      problems.emplace_back(item.pin->padded, std::move(item.request.b));
+    if (item.pin != nullptr)
+      operands.push_back(
+          {&item.pin->padded, &item.request.b, &item.pin->light});
     else
-      problems.emplace_back(std::move(item.request.a),
-                            std::move(item.request.b));
+      operands.push_back({&item.request.a, &item.request.b});
   }
 
   // Batches are kind-homogeneous (the batch key includes the op kind).
@@ -151,21 +148,12 @@ void GemmServer::serve_batch(std::vector<PendingRequest>&& batch) {
 
   // Result<> has no default constructor, hence the optional wrapper; a slot
   // left empty means the compute task died before producing a result.
-  std::vector<std::optional<Result<baselines::SchemeResult>>> results(n);
+  std::vector<std::optional<Result<baselines::OpOutcome>>> results(n);
   if (gemm_batch && !any_faults) {
-    // The pipelined GEMM fast path — bit-identical to the pre-ProtectedBlas3
-    // server (multiply_batch is the execute_batch(kGemm, ...) shim). Cache-
-    // backed batches run the preencoded variant, which consumes A's checksum
-    // side-buffers from the pinned entry instead of re-encoding.
-    std::vector<Result<baselines::SchemeResult>> batch_results;
-    if (cached) {
-      std::vector<abft::PreencodedProblem> pre(n);
-      for (std::size_t i = 0; i < n; ++i)
-        pre[i] = {&batch[i].pin->pre, &problems[i].second};
-      batch_results = primary_.execute_batch_preencoded(pre);
-    } else {
-      batch_results = primary_.multiply_batch(problems);
-    }
+    // The pipelined GEMM fast path, one call for cache-backed and cold
+    // problems alike: a supplied light encode skips A's encode pass.
+    std::vector<Result<baselines::OpOutcome>> batch_results =
+        primary_.execute_batch(baselines::OpKind::kGemm, operands);
     const std::uint64_t compute_ns = now_ns();
     for (std::size_t i = 0; i < n; ++i) {
       results[i] = std::move(batch_results[i]);
@@ -182,21 +170,16 @@ void GemmServer::serve_batch(std::vector<PendingRequest>&& batch) {
     for (std::size_t i = 0; i < n; ++i) {
       launcher_.launch_host_async(
           lanes_[i % lanes_.size()], "serve_request",
-          [this, i, cached, &batch, &problems, &results] {
+          [this, i, &batch, &operands, &results] {
             PendingRequest& item = batch[i];
-            const auto& [a, b] = problems[i];
-            const auto run_one = [&]() -> Result<baselines::SchemeResult> {
-              return cached ? primary_.execute_preencoded(item.pin->pre, b)
-                            : primary_.execute(item.desc, a, b);
-            };
             if (item.request.fault_plan.empty()) {
-              results[i] = run_one();
+              results[i] = primary_.execute(item.desc, operands[i]);
             } else {
               gpusim::FaultController ctl;
               ctl.arm_many(item.request.fault_plan);
               {
                 gpusim::ScopedFaultController guard(&ctl);
-                results[i] = run_one();
+                results[i] = primary_.execute(item.desc, operands[i]);
               }
               ctl.disarm();
               item.trace.faults_fired = ctl.fired_count();
@@ -210,15 +193,14 @@ void GemmServer::serve_batch(std::vector<PendingRequest>&& batch) {
   for (std::size_t i = 0; i < n; ++i) {
     PendingRequest& item = batch[i];
     if (item.trace.compute_ns == 0) item.trace.compute_ns = now_ns();
-    Result<baselines::SchemeResult> first =
+    Result<baselines::OpOutcome> first =
         results[i] ? std::move(*results[i])
-                   : Result<baselines::SchemeResult>(Error{
+                   : Result<baselines::OpOutcome>(Error{
                          ErrorCode::kExecutionFailed,
                          "compute task did not produce a result"});
     RecoveryOutcome outcome = run_ladder(
         primary_, config_.recovery.escalate_tmr ? &tmr_ : nullptr, item.desc,
-        problems[i].first, problems[i].second, std::move(first),
-        config_.recovery);
+        *operands[i].a, *operands[i].b, std::move(first), config_.recovery);
     item.trace.repair_ns = now_ns();
 
     GemmResponse response;
@@ -227,12 +209,11 @@ void GemmServer::serve_batch(std::vector<PendingRequest>&& batch) {
     item.trace.retries = outcome.retries;
     item.trace.tmr_escalated = outcome.tmr_escalated;
     if (outcome.result) {
-      baselines::SchemeResult& r = *outcome.result;
+      baselines::OpOutcome& r = *outcome.result;
       item.trace.corrected = r.corrected;
       item.trace.corrections = r.corrections;
       item.trace.panel_detections = r.panel_detections;
       item.trace.panel_recomputes = r.panel_recomputes;
-      item.trace.fused_encode = r.fused_encode;
       item.trace.block_recomputes = r.block_recomputes;
       item.trace.full_recomputes = r.recomputed;
       item.trace.detected =
@@ -268,7 +249,6 @@ void GemmServer::serve_batch(std::vector<PendingRequest>&& batch) {
     if (item.trace.corrected) StatsBoard::bump(stats_.corrected);
     StatsBoard::bump(stats_.corrections, item.trace.corrections);
     StatsBoard::bump(stats_.panel_detections, item.trace.panel_detections);
-    if (item.trace.fused_encode) StatsBoard::bump(stats_.fused_encode_requests);
     StatsBoard::bump(stats_.block_recomputes, item.trace.block_recomputes);
     StatsBoard::bump(stats_.full_recomputes, item.trace.full_recomputes);
     StatsBoard::bump(stats_.retries, item.trace.retries);

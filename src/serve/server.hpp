@@ -3,8 +3,8 @@
 // One dispatcher thread pops priority-ordered batches of shape-and-kind-
 // compatible requests from the bounded queue (BatchAssembler) and runs them
 // through the primary A-ABFT scheme on the ProtectedBlas3 operation API:
-// clean GEMM batches go through the pipelined multiply_batch fast path
-// (bit-identical to the pre-redesign server), while faulted batches and the
+// clean GEMM batches, cache-backed or cold, go through the one pipelined
+// execute_batch call over borrowed operands, while faulted batches and the
 // other op kinds (SYRK, Cholesky, LU) run as per-request host tasks through
 // execute(). Every response settles through the recovery ladder
 // (serve/recovery.hpp). Clients talk to the server through submit(), which

@@ -31,7 +31,6 @@ void merge_into(ServerStats& into, const ServerStats& from) {
   into.corrected += from.corrected;
   into.corrections += from.corrections;
   into.panel_detections += from.panel_detections;
-  into.fused_encode_requests += from.fused_encode_requests;
   into.block_recomputes += from.block_recomputes;
   into.full_recomputes += from.full_recomputes;
   into.retries += from.retries;
@@ -82,7 +81,6 @@ ServerStats StatsBoard::snapshot() const {
   s.corrected = load(corrected);
   s.corrections = load(corrections);
   s.panel_detections = load(panel_detections);
-  s.fused_encode_requests = load(fused_encode_requests);
   s.block_recomputes = load(block_recomputes);
   s.full_recomputes = load(full_recomputes);
   s.retries = load(retries);
@@ -125,7 +123,6 @@ std::string to_json(const ServerStats& stats) {
   field("corrected", stats.corrected);
   field("corrections", stats.corrections);
   field("panel_detections", stats.panel_detections);
-  field("fused_encode_requests", stats.fused_encode_requests);
   field("block_recomputes", stats.block_recomputes);
   field("full_recomputes", stats.full_recomputes);
   field("retries", stats.retries);

@@ -46,9 +46,6 @@ struct ServerStats {
   /// Online k-panel screen mismatches observed inside fused products
   /// (recovery rung 0; repaired by tile panel replay before completion).
   std::uint64_t panel_detections = 0;
-  /// Completed requests whose checksums were accumulated inside the product
-  /// kernel (fused pipeline) instead of a standalone encode pass.
-  std::uint64_t fused_encode_requests = 0;
   std::uint64_t block_recomputes = 0;
   std::uint64_t full_recomputes = 0;
   std::uint64_t retries = 0;
@@ -109,7 +106,6 @@ class StatsBoard {
   std::atomic<std::uint64_t> corrected{0};
   std::atomic<std::uint64_t> corrections{0};
   std::atomic<std::uint64_t> panel_detections{0};
-  std::atomic<std::uint64_t> fused_encode_requests{0};
   std::atomic<std::uint64_t> block_recomputes{0};
   std::atomic<std::uint64_t> full_recomputes{0};
   std::atomic<std::uint64_t> retries{0};

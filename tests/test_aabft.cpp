@@ -172,7 +172,6 @@ TEST(Aabft, DefaultConfigReplaysLargeInjectedFault) {
   const auto [result, fired] = multiply_with_large_fault(a, b, small_config());
 
   ASSERT_TRUE(fired);
-  EXPECT_TRUE(result.fused);
   EXPECT_TRUE(result.error_detected());
   EXPECT_GE(result.panel_recomputes, 1u);
   EXPECT_TRUE(result.corrections.empty());

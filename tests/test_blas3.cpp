@@ -479,24 +479,4 @@ TEST(Schemes, TmrVotesFactorizationsAsWholeResults) {
   }
 }
 
-TEST(Schemes, MultiplyShimStaysByteForByteCompatible) {
-  // The GEMM compatibility shim: multiply(a, b) on the base class must route
-  // through execute and keep old call sites working unchanged.
-  Launcher launcher;
-  Rng rng(28);
-  const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);
-  const Matrix b = uniform_matrix(32, 32, -1.0, 1.0, rng);
-  auto schemes = aabft::baselines::make_schemes(launcher);
-  ASSERT_GE(schemes.size(), 5u);
-  for (auto& scheme : schemes) {
-    auto via_shim = scheme->multiply(a, b);
-    ASSERT_TRUE(via_shim.ok()) << scheme->name();
-    auto via_execute =
-        scheme->execute(OpDescriptor::gemm(32, 32, 32), a, b);
-    ASSERT_TRUE(via_execute.ok()) << scheme->name();
-    EXPECT_EQ(via_shim->c, via_execute->c)
-        << scheme->name() << ": shim and execute must agree bitwise";
-  }
-}
-
 }  // namespace

@@ -19,6 +19,7 @@
 #include "abft/aabft.hpp"
 #include "abft/encoder.hpp"
 #include "abft/fused_gemm.hpp"
+#include "baselines/schemes.hpp"
 #include "core/rng.hpp"
 #include "gpusim/kernel.hpp"
 #include "linalg/matmul.hpp"
@@ -304,26 +305,25 @@ TEST(FusedGemm, MatchesBlockedMatmulOverEncodedOperands) {
   }
 }
 
+// The library pipeline against the paper's kernels (Table I's contender):
+// same product and full-checksum bits.
 TEST(FusedGemm, PipelineMatchesClassicBits) {
   Rng rng(105);
   const Matrix a = uniform_matrix(64, 48, -1.0, 1.0, rng);
   const Matrix b = uniform_matrix(48, 64, -1.0, 1.0, rng);
   AabftConfig config;
   config.bs = 16;
-  config.fused_gemm = false;
 
   aabft::gpusim::Launcher launcher;
-  AabftMultiplier classic(launcher, config);
+  aabft::baselines::PaperAabftScheme classic(launcher, config);
   const auto classic_result = classic.multiply(a, b);
   ASSERT_TRUE(classic_result.ok());
 
-  config.fused_gemm = true;
   AabftMultiplier fused(launcher, config);
   const auto fused_result = fused.multiply(a, b);
   ASSERT_TRUE(fused_result.ok());
 
-  EXPECT_TRUE(fused_result->fused);
-  EXPECT_FALSE(classic_result->fused);
+  EXPECT_FALSE(classic_result->error_detected());
   EXPECT_TRUE(bits_equal(fused_result->c, classic_result->c));
   EXPECT_TRUE(bits_equal(fused_result->c_fc, classic_result->c_fc));
   EXPECT_FALSE(fused_result->error_detected());
@@ -426,7 +426,6 @@ TEST(FusedGemm, PanelDetectionRepairsInnerFault) {
   const Matrix b = random_matrix(64, 64, 107);
   AabftConfig config;
   config.bs = 32;
-  config.fused_gemm = true;
   config.fused.check_stride = 1;
 
   aabft::gpusim::Launcher clean_launcher(aabft::gpusim::k20c(), 1);
@@ -468,7 +467,6 @@ TEST(FusedGemm, LaunchesLightEncodeAndFusedKernels) {
   const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);
   AabftConfig config;
   config.bs = 16;
-  config.fused_gemm = true;
   aabft::gpusim::Launcher launcher;
   AabftMultiplier mult(launcher, config);
   ASSERT_TRUE(mult.multiply(a, a).ok());

@@ -25,6 +25,7 @@ using aabft::ErrorCode;
 using aabft::Rng;
 using aabft::abft::AabftConfig;
 using aabft::abft::AabftMultiplier;
+using aabft::abft::Operands;
 using aabft::gpusim::BlockCtx;
 using aabft::gpusim::Dim3;
 using aabft::gpusim::FaultConfig;
@@ -210,6 +211,14 @@ TEST(Executor, NestedSyncLaunchFromHostTaskDoesNotDeadlock) {
   EXPECT_EQ(from_stream, blocked_matmul(reference, a, b));
 }
 
+/// Borrowed-operand views of owned problems, as multiply_batch takes them.
+std::vector<Operands> views(
+    const std::vector<std::pair<Matrix, Matrix>>& problems) {
+  std::vector<Operands> out;
+  for (const auto& [a, b] : problems) out.push_back({&a, &b});
+  return out;
+}
+
 // multiply_batch pipelines problems across streams but must stay bit-
 // identical to sequential multiply() calls on the same launcher.
 TEST(Executor, MultiplyBatchBitIdenticalToSequential) {
@@ -230,7 +239,7 @@ TEST(Executor, MultiplyBatchBitIdenticalToSequential) {
   for (const std::size_t streams : {std::size_t{1}, std::size_t{3}}) {
     Launcher launcher;
     AabftMultiplier mult(launcher, config);
-    const auto batch = mult.multiply_batch(problems, streams);
+    const auto batch = mult.multiply_batch(views(problems), streams);
     ASSERT_EQ(batch.size(), problems.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       ASSERT_TRUE(batch[i].ok()) << "problem " << i;
@@ -255,7 +264,7 @@ TEST(Executor, MultiplyBatchReportsPerProblemErrors) {
   problems.emplace_back(uniform_matrix(32, 32, -1.0, 1.0, rng),
                         uniform_matrix(32, 32, -1.0, 1.0, rng));
 
-  const auto batch = mult.multiply_batch(problems);
+  const auto batch = mult.multiply_batch(views(problems));
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_TRUE(batch[0].ok());
   ASSERT_FALSE(batch[1].ok());

@@ -347,7 +347,7 @@ TEST(FastPath, ProtectedBlas3GemmPathBitIdentical) {
     EXPECT_EQ(via_scheme.second, via_mult.second) << "trial " << trial;
     ASSERT_EQ(via_scheme.first.ok(), via_mult.first.ok()) << "trial " << trial;
     if (!via_scheme.first.ok()) continue;  // both refused identically
-    const baselines::SchemeResult& s = *via_scheme.first;
+    const baselines::OpOutcome& s = *via_scheme.first;
     const abft::AabftResult& m = *via_mult.first;
     EXPECT_TRUE(bits_equal(s.c, m.c)) << "trial " << trial;
     EXPECT_EQ(s.detected, m.error_detected()) << "trial " << trial;

@@ -147,7 +147,8 @@ TEST(HazardClean, AllSchemeContendersRecordMode) {
   baselines::SchemeSuiteConfig config;
   config.include_diverse_tmr = true;
   for (const auto& scheme : baselines::make_schemes(launcher, config)) {
-    const auto result = scheme->multiply(a, b);
+    const auto result =
+        scheme->execute(baselines::OpDescriptor::gemm(64, 64, 64), a, b);
     ASSERT_TRUE(result.ok()) << scheme->name();
     EXPECT_TRUE(no_hazards(launcher)) << scheme->name();
   }

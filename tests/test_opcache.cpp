@@ -1,5 +1,5 @@
 // Operand checksum cache tests: fingerprinting, register/dedup, LRU byte
-// budget with pin semantics, invalidation, the preencoded multiply paths'
+// budget with pin semantics, invalidation, the cached-encode multiply's
 // bit-identity to the cold pipeline (clean and under 1-8-fault campaigns),
 // the sampled cache-consistency guard, the opcache StatsBoard counters, and
 // GemmServer end-to-end handle / implicit-hit / batching behaviour.
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "abft/aabft.hpp"
-#include "abft/fused_gemm.hpp"
 #include "core/rng.hpp"
 #include "gpusim/kernel.hpp"
 #include "linalg/matmul.hpp"
@@ -35,10 +34,9 @@ using linalg::uniform_matrix;
 using opcache::OperandCache;
 using opcache::OpCacheConfig;
 
-abft::AabftConfig small_aabft(bool fused) {
+abft::AabftConfig small_aabft() {
   abft::AabftConfig config;
   config.bs = 8;
-  config.fused_gemm = fused;
   config.max_block_recomputes = 1;
   return config;
 }
@@ -79,7 +77,7 @@ TEST(OpCacheFingerprint, ContentAndShapeChangeTheHash) {
 TEST(OpCache, RegisterDedupsByContent) {
   Launcher launcher;
   StatsBoard stats;
-  OperandCache cache(launcher, small_aabft(true), OpCacheConfig{}, &stats);
+  OperandCache cache(launcher, small_aabft(), OpCacheConfig{}, &stats);
   Rng rng(21);
   const Matrix a = uniform_matrix(24, 16, -1.0, 1.0, rng);
 
@@ -94,10 +92,9 @@ TEST(OpCache, RegisterDedupsByContent) {
       << "dedup must not count as a fresh registration";
 }
 
-TEST(OpCache, EntryCarriesConsistentPreencodedViews) {
+TEST(OpCache, EntryCarriesPaddedOperandAndItsEncode) {
   Launcher launcher;
-  // Unfused: the classic pipeline lays A_cc out from the same light encode.
-  const abft::AabftConfig aabft = small_aabft(false);
+  const abft::AabftConfig aabft = small_aabft();
   OperandCache cache(launcher, aabft, OpCacheConfig{}, nullptr);
   Rng rng(22);
   const Matrix a = uniform_matrix(20, 16, -1.0, 1.0, rng);  // pads 20 -> 24
@@ -109,8 +106,6 @@ TEST(OpCache, EntryCarriesConsistentPreencodedViews) {
   EXPECT_EQ(pin->orig_rows, 20u);
   EXPECT_EQ(pin->orig_cols, 16u);
   EXPECT_EQ(pin->padded.rows(), 24u);
-  EXPECT_EQ(pin->pre.a, &pin->padded);
-  EXPECT_EQ(pin->pre.light, &pin->light);
   // The cached side-buffer is exactly a fresh light encode of the padded A.
   const abft::LightEncoded fresh = abft::encode_columns_light(
       launcher, pin->padded, abft::PartitionedCodec(aabft.bs), aabft.p);
@@ -124,7 +119,7 @@ TEST(OpCache, LruEvictsUnpinnedWithinBudgetAndNeverPinned) {
   // then size the budget to fit exactly two entries but not three.
   std::size_t entry_bytes = 0;
   {
-    OperandCache probe(launcher, small_aabft(true), OpCacheConfig{}, nullptr);
+    OperandCache probe(launcher, small_aabft(), OpCacheConfig{}, nullptr);
     Rng probe_rng(230);
     auto h = probe.register_operand(uniform_matrix(16, 16, -1.0, 1.0,
                                                    probe_rng));
@@ -134,7 +129,7 @@ TEST(OpCache, LruEvictsUnpinnedWithinBudgetAndNeverPinned) {
   }
   OpCacheConfig config;
   config.byte_budget = 2 * entry_bytes;
-  OperandCache cache(launcher, small_aabft(true), config, &stats);
+  OperandCache cache(launcher, small_aabft(), config, &stats);
   Rng rng(23);
   const Matrix a = uniform_matrix(16, 16, -1.0, 1.0, rng);
   const Matrix b = uniform_matrix(16, 16, -2.0, 2.0, rng);
@@ -181,7 +176,7 @@ TEST(OpCache, OversizedEntryIsRefused) {
   Launcher launcher;
   OpCacheConfig config;
   config.byte_budget = 1024;  // smaller than any 16x16 entry
-  OperandCache cache(launcher, small_aabft(true), config, nullptr);
+  OperandCache cache(launcher, small_aabft(), config, nullptr);
   Rng rng(24);
   const Matrix a = uniform_matrix(16, 16, -1.0, 1.0, rng);
   auto handle = cache.register_operand(a);
@@ -195,7 +190,7 @@ TEST(OpCache, DisabledCacheRefusesRegistration) {
   Launcher launcher;
   OpCacheConfig config;
   config.enabled = false;
-  OperandCache cache(launcher, small_aabft(true), config, nullptr);
+  OperandCache cache(launcher, small_aabft(), config, nullptr);
   Rng rng(25);
   auto handle = cache.register_operand(uniform_matrix(8, 8, -1.0, 1.0, rng));
   ASSERT_FALSE(handle.ok());
@@ -205,7 +200,7 @@ TEST(OpCache, DisabledCacheRefusesRegistration) {
 TEST(OpCache, InvalidateRemovesEntryButPinsKeepStorage) {
   Launcher launcher;
   StatsBoard stats;
-  OperandCache cache(launcher, small_aabft(true), OpCacheConfig{}, &stats);
+  OperandCache cache(launcher, small_aabft(), OpCacheConfig{}, &stats);
   Rng rng(26);
   const Matrix a = uniform_matrix(16, 16, -1.0, 1.0, rng);
   auto handle = cache.register_operand(a);
@@ -230,14 +225,11 @@ TEST(OpCache, InvalidateRemovesEntryButPinsKeepStorage) {
 }
 
 // ---------------------------------------------------------------------------
-// Preencoded multiply paths: bit-identity to the cold pipeline.
+// Multiplying with the cached encode: bit-identity to the cold pipeline.
 
-class OpCacheBitIdentity : public ::testing::TestWithParam<bool> {};
-
-TEST_P(OpCacheBitIdentity, PreencodedMatchesColdCleanRun) {
-  const bool fused = GetParam();
+TEST(OpCacheBitIdentity, CachedEncodeMatchesColdCleanRun) {
   Launcher launcher;
-  const abft::AabftConfig aabft = small_aabft(fused);
+  const abft::AabftConfig aabft = small_aabft();
   abft::AabftMultiplier mult(launcher, aabft);
   OperandCache cache(launcher, aabft, OpCacheConfig{}, nullptr);
   Rng rng(31);
@@ -251,34 +243,34 @@ TEST_P(OpCacheBitIdentity, PreencodedMatchesColdCleanRun) {
   ASSERT_TRUE(handle.ok());
   OperandCache::Pin pin = cache.acquire(*handle);
   ASSERT_TRUE(pin != nullptr);
-  auto warm = mult.multiply_preencoded(pin->pre, b);
+  auto warm = mult.multiply(pin->padded, b, &pin->light);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->c, cold->c) << "cached encode must not change a single bit";
-  EXPECT_EQ(warm->fused, fused);
+  EXPECT_EQ(warm->c_fc, cold->c_fc);
 
-  // Batch path, several B's sharing one preencoded A.
+  // Batch path, several B's sharing one cached A, beside a cold problem.
   const Matrix b2 = uniform_matrix(24, 16, -2.0, 2.0, rng);
   auto cold2 = mult.multiply(a, b2);
   ASSERT_TRUE(cold2.ok());
-  std::vector<abft::PreencodedProblem> problems = {{&pin->pre, &b},
-                                                   {&pin->pre, &b2}};
-  auto batch = mult.multiply_batch_preencoded(problems);
-  ASSERT_EQ(batch.size(), 2u);
-  ASSERT_TRUE(batch[0].ok() && batch[1].ok());
+  const std::vector<abft::Operands> problems = {
+      {&pin->padded, &b, &pin->light},
+      {&pin->padded, &b2, &pin->light},
+      {&a, &b2}};
+  auto batch = mult.multiply_batch(problems);
+  ASSERT_EQ(batch.size(), 3u);
+  ASSERT_TRUE(batch[0].ok() && batch[1].ok() && batch[2].ok());
   EXPECT_EQ(batch[0]->c, cold->c);
   EXPECT_EQ(batch[1]->c, cold2->c);
+  EXPECT_EQ(batch[2]->c, cold2->c);
 }
-
-INSTANTIATE_TEST_SUITE_P(FusedAndClassic, OpCacheBitIdentity,
-                         ::testing::Values(true, false));
 
 // ---------------------------------------------------------------------------
 // The sampled cache-consistency guard.
 
 TEST(OpCache, ConsistencyGuardThrowsOnStaleEntry) {
   Launcher launcher;
-  abft::AabftConfig aabft = small_aabft(true);
-  aabft.cache_verify_every = 1;  // verify every preencoded problem
+  abft::AabftConfig aabft = small_aabft();
+  aabft.cache_verify_every = 1;  // verify every problem with a cached encode
   abft::AabftMultiplier mult(launcher, aabft);
   Rng rng(41);
   Matrix a = uniform_matrix(16, 16, -1.0, 1.0, rng);
@@ -286,12 +278,11 @@ TEST(OpCache, ConsistencyGuardThrowsOnStaleEntry) {
 
   const abft::LightEncoded light = abft::encode_columns_light(
       launcher, a, abft::PartitionedCodec(aabft.bs), aabft.p);
-  const abft::PreencodedA pre{&a, &light};
-  ASSERT_TRUE(mult.multiply_preencoded(pre, b).ok())
+  ASSERT_TRUE(mult.multiply(a, b, &light).ok())
       << "a consistent entry must pass the guard";
 
   a(0, 0) += 1.0;  // the cached side-buffer is now stale
-  EXPECT_THROW((void)mult.multiply_preencoded(pre, b), std::invalid_argument);
+  EXPECT_THROW((void)mult.multiply(a, b, &light), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,7 +352,7 @@ TEST(OpCacheStats, ConcurrentBumpsSnapshotWithoutTearing) {
 
 ServeConfig cached_serve_config() {
   ServeConfig config;
-  config.aabft = small_aabft(true);
+  config.aabft = small_aabft();
   config.aabft.max_block_recomputes = 1;
   return config;
 }

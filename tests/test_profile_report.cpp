@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "abft/aabft.hpp"
+#include "baselines/schemes.hpp"
 #include "core/rng.hpp"
 #include "gpusim/profile_report.hpp"
 #include "linalg/workload.hpp"
@@ -36,17 +37,22 @@ TEST(ProfileReport, AggregatesByKernelName) {
   EXPECT_GT(profiles[0].modelled_seconds, 0.0);
 }
 
-/// Kernel profiles of one protected 192^3 multiply (bs = 16).
-std::vector<KernelProfile> protected_multiply_profile(bool fused_gemm) {
+/// Kernel profiles of one protected 192^3 multiply (bs = 16): the library's
+/// pipeline, or the paper's kernels (Table I's contender).
+std::vector<KernelProfile> protected_multiply_profile(bool paper_kernels) {
   Rng rng(1);
   const auto a = aabft::linalg::uniform_matrix(192, 192, -1.0, 1.0, rng);
   const auto b = aabft::linalg::uniform_matrix(192, 192, -1.0, 1.0, rng);
   Launcher launcher;
   aabft::abft::AabftConfig config;
   config.bs = 16;
-  config.fused_gemm = fused_gemm;
-  aabft::abft::AabftMultiplier mult(launcher, config);
-  (void)mult.multiply(a, b).value();
+  if (paper_kernels) {
+    aabft::baselines::PaperAabftScheme scheme(launcher, config);
+    (void)scheme.multiply(a, b).value();
+  } else {
+    aabft::abft::AabftMultiplier mult(launcher, config);
+    (void)mult.multiply(a, b).value();
+  }
   return profile_launch_log(launcher.device(), launcher.launch_log());
 }
 
@@ -67,7 +73,7 @@ void expect_product_dominates(const std::vector<KernelProfile>& profiles,
 TEST(ProfileReport, EndToEndProtectedMultiplyProfile) {
   // The library default runs the fused pipeline: encode_a_light,
   // encode_b_light, gemm_fused, check.
-  const auto profiles = protected_multiply_profile(true);
+  const auto profiles = protected_multiply_profile(false);
   ASSERT_EQ(profiles.size(), 4u);
   expect_product_dominates(profiles, "gemm_fused");
 
@@ -79,7 +85,7 @@ TEST(ProfileReport, EndToEndProtectedMultiplyProfile) {
 
 TEST(ProfileReport, EndToEndClassicMultiplyProfile) {
   // encode_a, reduce_pmax_a, encode_b, reduce_pmax_b, gemm, check.
-  const auto profiles = protected_multiply_profile(false);
+  const auto profiles = protected_multiply_profile(true);
   ASSERT_EQ(profiles.size(), 6u);
   expect_product_dominates(profiles, "gemm");
 }

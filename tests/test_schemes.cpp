@@ -1,5 +1,5 @@
 // Unified scheme interface: every contender is driven through the same
-// ProtectedMultiplier vtable with no per-scheme branching, produces a correct
+// ProtectedBlas3 vtable with no per-scheme branching, produces a correct
 // product on clean inputs, and reports recoverable misuse through Result<>.
 #include <gtest/gtest.h>
 
@@ -16,12 +16,19 @@
 namespace {
 
 using aabft::ErrorCode;
+using aabft::Result;
 using aabft::Rng;
 using namespace aabft::baselines;
 using aabft::gpusim::Launcher;
 using aabft::linalg::Matrix;
 using aabft::linalg::naive_matmul;
 using aabft::linalg::uniform_matrix;
+
+Result<OpOutcome> gemm(ProtectedBlas3& scheme, const Matrix& a,
+                       const Matrix& b) {
+  return scheme.execute(OpDescriptor::gemm(a.rows(), a.cols(), b.cols()), a,
+                        b);
+}
 
 TEST(Schemes, FactoryListsContendersInTableOrder) {
   Launcher launcher;
@@ -49,7 +56,7 @@ TEST(Schemes, EveryContenderMultipliesCleanlyThroughTheInterface) {
   SchemeSuiteConfig config;
   config.include_diverse_tmr = true;
   for (const auto& scheme : make_schemes(launcher, config)) {
-    const auto result = scheme->multiply(a, b);
+    const auto result = gemm(*scheme, a, b);
     ASSERT_TRUE(result.ok()) << scheme->name();
     EXPECT_TRUE(result->clean) << scheme->name();
     EXPECT_FALSE(result->detected) << scheme->name();
@@ -69,7 +76,7 @@ TEST(Schemes, EveryContenderRejectsShapeMismatchRecoverably) {
   const Matrix a(32, 20);
   const Matrix b(32, 32);  // a.cols() != b.rows()
   for (const auto& scheme : make_schemes(launcher, config)) {
-    const auto result = scheme->multiply(a, b);
+    const auto result = gemm(*scheme, a, b);
     ASSERT_FALSE(result.ok()) << scheme->name();
     EXPECT_EQ(result.error().code, ErrorCode::kShapeMismatch) << scheme->name();
   }
@@ -86,12 +93,15 @@ TEST(Schemes, DefaultBatchMatchesSequentialForAllContenders) {
   Launcher batch_launcher;
   const auto seq_schemes = make_schemes(seq_launcher);
   const auto batch_schemes = make_schemes(batch_launcher);
+  std::vector<aabft::abft::Operands> operands;
+  for (const auto& [a, b] : problems) operands.push_back({&a, &b});
   for (std::size_t s = 0; s < seq_schemes.size(); ++s) {
-    const auto batch = batch_schemes[s]->multiply_batch(problems);
+    const auto batch =
+        batch_schemes[s]->execute_batch(OpKind::kGemm, operands);
     ASSERT_EQ(batch.size(), problems.size());
     for (std::size_t i = 0; i < problems.size(); ++i) {
       const auto ref =
-          seq_schemes[s]->multiply(problems[i].first, problems[i].second);
+          gemm(*seq_schemes[s], problems[i].first, problems[i].second);
       ASSERT_TRUE(ref.ok());
       ASSERT_TRUE(batch[i].ok()) << seq_schemes[s]->name();
       EXPECT_EQ(batch[i]->c, ref->c) << seq_schemes[s]->name();

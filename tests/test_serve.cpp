@@ -336,7 +336,6 @@ TEST(Serve, PanelChecksDetectAndRepairInFlight) {
   EXPECT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_TRUE(response.clean);
   EXPECT_EQ(response.trace.faults_fired, 1u);
-  EXPECT_TRUE(response.trace.fused_encode);
   EXPECT_GE(response.trace.panel_detections, 1u);
   EXPECT_GE(response.trace.panel_recomputes, 1u);
   EXPECT_EQ(response.rung, RecoveryRung::kPanelRecompute);
@@ -350,7 +349,6 @@ TEST(Serve, PanelChecksDetectAndRepairInFlight) {
   server.stop();
   const ServerStats stats = server.stats();
   EXPECT_GE(stats.panel_detections, 1u);
-  EXPECT_GE(stats.fused_encode_requests, 1u);
 }
 
 // ---- non-GEMM request kinds ------------------------------------------------
@@ -582,14 +580,14 @@ class FakeScheme final : public baselines::ProtectedBlas3 {
   [[nodiscard]] bool supports(baselines::OpKind kind) const noexcept override {
     return factorizations_ || kind == baselines::OpKind::kGemm;
   }
-  [[nodiscard]] Result<baselines::SchemeResult> execute(
+  [[nodiscard]] Result<baselines::OpOutcome> execute(
       const baselines::OpDescriptor& desc, const Matrix& a,
       const Matrix&) override {
     if (!supports(desc.kind))
       return unsupported_op_error("fake scheme: unsupported kind");
     ++calls;
     last_kind = desc.kind;
-    baselines::SchemeResult result;
+    baselines::OpOutcome result;
     result.c = a;
     result.detected = true;
     result.clean = calls > clean_after_;
@@ -611,7 +609,7 @@ TEST(RecoveryLadder, RetrySettlesTransientFailures) {
   const Matrix a(2, 2, 1.0);
   RecoveryPolicy policy;  // retry_budget = 1
   auto outcome = run_ladder(primary, nullptr, kFakeDesc, a, a,
-                            primary.multiply(a, a), policy);
+                            primary.execute(kFakeDesc, a, a), policy);
   EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(outcome.rung, RecoveryRung::kRetry);
   EXPECT_EQ(outcome.retries, 1u);
@@ -624,7 +622,7 @@ TEST(RecoveryLadder, EscalatesToTmrWhenRetriesExhaust) {
   const Matrix a(2, 2, 1.0);
   RecoveryPolicy policy;
   auto outcome = run_ladder(primary, &tmr, kFakeDesc, a, a,
-                            primary.multiply(a, a), policy);
+                            primary.execute(kFakeDesc, a, a), policy);
   EXPECT_TRUE(outcome.ok);
   EXPECT_EQ(outcome.rung, RecoveryRung::kTmr);
   EXPECT_EQ(outcome.retries, 1u);
@@ -639,7 +637,7 @@ TEST(RecoveryLadder, FailsWithDiagnosisWhenExhausted) {
   policy.retry_budget = 2;
   policy.escalate_tmr = false;
   auto outcome = run_ladder(primary, nullptr, kFakeDesc, a, a,
-                            primary.multiply(a, a), policy);
+                            primary.execute(kFakeDesc, a, a), policy);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.rung, RecoveryRung::kFailed);
   EXPECT_EQ(outcome.retries, 2u);
@@ -666,7 +664,7 @@ TEST(RecoveryLadder, SkipsTmrForUnsupportedKinds) {
 }
 
 TEST(RecoveryLadder, RungOfMapsSchemeOutcomes) {
-  baselines::SchemeResult r;
+  baselines::OpOutcome r;
   EXPECT_EQ(rung_of(r), RecoveryRung::kNone);
   r.detected = true;
   r.panel_recomputes = 1;  // online repair only: the earliest rung
