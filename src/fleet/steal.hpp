@@ -3,6 +3,11 @@
 // own deque is empty it steals from the *back* of the deepest sibling
 // (LIFO-steal: the freshest request moves, which is the one whose operands
 // are most likely still warm and whose shape affinity matters least).
+// A sibling whose owner is parked in pop() is never a victim: that owner is
+// idle and already woken by the push, so stealing would only move the job
+// off the shard the router chose (and off a sick device its health model is
+// watching). Once an owner takes a job and work remains queued, it wakes the
+// parked siblings so they can steal the rest of the burst.
 //
 // One mutex + one condition variable cover all N deques: pushes are rare
 // relative to compute (requests are whole protected BLAS-3 operations, not
@@ -27,7 +32,7 @@ template <typename T>
 class ShardQueues {
  public:
   ShardQueues(std::size_t shards, std::size_t capacity_per_shard)
-      : capacity_(capacity_per_shard), queues_(shards) {
+      : capacity_(capacity_per_shard), queues_(shards), parked_(shards, 0) {
     AABFT_REQUIRE(shards >= 1, "ShardQueues: need at least one shard");
     AABFT_REQUIRE(capacity_per_shard >= 1,
                   "ShardQueues: capacity must be at least 1");
@@ -51,15 +56,18 @@ class ShardQueues {
   };
 
   /// Dequeue for `shard`: own queue front first; if empty and `allow_steal`,
-  /// the back of the deepest sibling. Blocks up to `timeout` for work;
-  /// nullopt on timeout or when closed with nothing left to take.
+  /// the back of the deepest sibling whose owner is not parked in pop().
+  /// Blocks up to `timeout` for work; nullopt on timeout, or when closed with
+  /// nothing this caller may take.
   std::optional<Popped> pop(std::size_t shard,
                             std::chrono::microseconds timeout,
                             bool allow_steal = true) AABFT_EXCLUDES(mu_) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     core::UniqueLock lk(mu_);
+    ++parked_[shard];
     while (!closed_ && takeable(shard, allow_steal) == queues_.size())
       if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
+    --parked_[shard];
     const std::size_t source = takeable(shard, allow_steal);
     if (source == queues_.size())
       return std::nullopt;  // timeout, or closed and drained
@@ -72,6 +80,9 @@ class ShardQueues {
     else
       queues_[source].pop_back();
     if (out.stolen) ++steals_;
+    const bool burst_left = !out.stolen && !queues_[shard].empty();
+    lk.unlock();
+    if (burst_left) cv_.notify_all();  // this owner is busy now: siblings steal
     return out;
   }
 
@@ -113,6 +124,11 @@ class ShardQueues {
     core::MutexLock lk(mu_);
     return steals_;
   }
+  /// True while a caller is blocked in pop(`shard`) waiting for work.
+  [[nodiscard]] bool parked(std::size_t shard) const AABFT_EXCLUDES(mu_) {
+    core::MutexLock lk(mu_);
+    return parked_[shard] > 0;
+  }
   [[nodiscard]] bool closed() const AABFT_EXCLUDES(mu_) {
     core::MutexLock lk(mu_);
     return closed_;
@@ -121,14 +137,15 @@ class ShardQueues {
 
  private:
   /// Source queue pop() should take from: `shard`'s own queue first, else
-  /// (when stealing) the deepest sibling; queues_.size() = nothing to take.
+  /// (when stealing) the deepest sibling without a parked owner;
+  /// queues_.size() = nothing to take.
   [[nodiscard]] std::size_t takeable(std::size_t shard, bool allow_steal) const
       AABFT_REQUIRES(mu_) {
     if (!queues_[shard].empty()) return shard;
     if (allow_steal) {
       std::size_t victim = shard, depth = 0;
       for (std::size_t s = 0; s < queues_.size(); ++s)
-        if (s != shard && queues_[s].size() > depth) {
+        if (s != shard && parked_[s] == 0 && queues_[s].size() > depth) {
           victim = s;
           depth = queues_[s].size();
         }
@@ -141,6 +158,8 @@ class ShardQueues {
   core::CondVar cv_;
   const std::size_t capacity_;
   std::vector<std::deque<T>> queues_ AABFT_GUARDED_BY(mu_);
+  /// Callers blocked in pop() per shard; their queues are not stolen from.
+  std::vector<std::size_t> parked_ AABFT_GUARDED_BY(mu_);
   std::uint64_t steals_ AABFT_GUARDED_BY(mu_) = 0;
   bool closed_ AABFT_GUARDED_BY(mu_) = false;
 };

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -252,6 +253,92 @@ TEST(ShardQueues, CapacityDrainAndCloseSemantics) {
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->item, 4);  // drains after close
   EXPECT_FALSE(queues.pop(1, std::chrono::microseconds(1000)));
+}
+
+// Spins until a caller is blocked in pop(`shard`).
+void await_parked(const ShardQueues<int>& queues, std::size_t shard) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!queues.parked(shard)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "shard " << shard << " never parked in pop()";
+    std::this_thread::yield();
+  }
+}
+
+TEST(ShardQueues, ParkedOwnersQueueIsNotStolen) {
+  ShardQueues<int> queues(3, 16);
+  auto owner = std::async(std::launch::async, [&] {
+    return queues.pop(0, std::chrono::seconds(10));
+  });
+  await_parked(queues, 0);
+  ASSERT_TRUE(queues.try_push(0, 7));
+  ASSERT_TRUE(queues.try_push(2, 9));
+
+  // Shard 0's queue is as deep as shard 2's, but its owner is parked (the
+  // push woke it; it takes the job itself), so the idle shard 1 steals from
+  // shard 2, whose owner is busy elsewhere.
+  auto sibling = queues.pop(1, std::chrono::microseconds(0));
+  ASSERT_TRUE(sibling.has_value());
+  EXPECT_EQ(sibling->item, 9);
+  EXPECT_TRUE(sibling->stolen);
+
+  auto own = owner.get();
+  ASSERT_TRUE(own.has_value());
+  EXPECT_EQ(own->item, 7);
+  EXPECT_FALSE(own->stolen);
+  EXPECT_EQ(queues.steals(), 1u);
+}
+
+TEST(ShardQueues, OwnerTakingOneJobOfABurstWakesParkedSiblings) {
+  ShardQueues<int> queues(2, 16);
+  const auto long_wait = std::chrono::seconds(20);
+  auto sibling = std::async(std::launch::async, [&] {
+    const auto start = std::chrono::steady_clock::now();
+    auto popped = queues.pop(1, long_wait);
+    return std::make_pair(std::move(popped),
+                          std::chrono::steady_clock::now() - start);
+  });
+  auto owner =
+      std::async(std::launch::async, [&] { return queues.pop(0, long_wait); });
+  await_parked(queues, 1);
+  await_parked(queues, 0);
+  for (int job = 1; job <= 3; ++job) ASSERT_TRUE(queues.try_push(0, int{job}));
+
+  auto own = owner.get();
+  ASSERT_TRUE(own.has_value());
+  EXPECT_EQ(own->item, 1);
+  EXPECT_FALSE(own->stolen);
+
+  // Once the owner is busy with job 1, the parked sibling steals from the
+  // tail of what is left, woken at once rather than at its pop timeout.
+  auto [stolen, waited] = sibling.get();
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_TRUE(stolen->stolen);
+  EXPECT_TRUE(stolen->item == 2 || stolen->item == 3) << stolen->item;
+  EXPECT_LT(waited, long_wait / 4);
+  EXPECT_EQ(queues.depth(0), 1u);
+}
+
+TEST(ShardQueues, ParkedSiblingStealsFromBusyOwner) {
+  ShardQueues<int> queues(2, 16);
+  const auto long_wait = std::chrono::seconds(20);
+  auto sibling = std::async(std::launch::async, [&] {
+    const auto start = std::chrono::steady_clock::now();
+    auto popped = queues.pop(1, long_wait);
+    return std::make_pair(std::move(popped),
+                          std::chrono::steady_clock::now() - start);
+  });
+  await_parked(queues, 1);
+  // Shard 0's owner is not in pop() (busy serving): its job is fair game.
+  ASSERT_TRUE(queues.try_push(0, 5));
+
+  auto [stolen, waited] = sibling.get();
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(stolen->item, 5);
+  EXPECT_TRUE(stolen->stolen);
+  EXPECT_LT(waited, long_wait / 4);
+  EXPECT_EQ(queues.depth(0), 0u);
 }
 
 // ---- FleetServer end-to-end ------------------------------------------------
