@@ -30,7 +30,7 @@ std::optional<std::size_t> ShardRouter::route(
         availability[affine] >= config_.availability_floor &&
         effective_load(loads[affine], availability[affine]) <=
             config_.affinity_slack * best_load) {
-      return affine;  // stay put: the batcher can keep coalescing this shape
+      return affine;  // stay put: queued requests of this shape can batch
     }
   }
   affinity_[key] = *best;

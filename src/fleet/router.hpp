@@ -6,9 +6,9 @@
 // occupancy divided by availability, so a degraded device has to be much
 // emptier than a healthy one before it wins; fenced devices (availability
 // under the floor) are never placed on. Shape affinity keeps a stream of
-// same-shaped requests on the shard that served the shape last (so the
-// downstream BatchAssembler can still coalesce them) unless that shard is
-// meaningfully more loaded than the best candidate.
+// same-shaped requests on the shard that served the shape last (so those
+// that queue behind its busy dispatcher leave in one pop_batch) unless that
+// shard is meaningfully more loaded than the best candidate.
 #pragma once
 
 #include <cstddef>

@@ -187,7 +187,8 @@ class FaultController {
 // below is consulted by the Launcher at launch-initiation time and takes
 // precedence over the attached controller for work started by this thread:
 // synchronous launch() calls, and async enqueues (which snapshot it into
-// their launch environment, like every other launch parameter). Worker
+// their launch environment, like every other launch parameter; a host
+// function enqueued with launch_host_async runs under the snapshot). Worker
 // threads executing blocks of such a launch see the snapshotted controller,
 // not their own thread's override.
 

@@ -25,7 +25,9 @@
 //                     (fault controller, precision, device) is snapshotted
 //                     at enqueue time.
 //   - launch_host_async(): enqueues a host function onto a stream, for
-//                     host-side pipeline stages between kernels.
+//                     host-side pipeline stages between kernels. The host
+//                     function runs under the enqueuing thread's
+//                     ScopedFaultController override.
 //
 // Thread-safety contract:
 //   - launch() may be called concurrently from multiple host threads
@@ -178,9 +180,21 @@ class Launcher {
     auto state = std::make_shared<detail::StreamState>();
     {
       core::MutexLock lk(streams_mu_);
+      // Drop the streams that are gone: each expired entry would keep its
+      // StreamState allocation alive (make_shared), and every batch call
+      // creates fresh lanes, so the registry would grow without bound.
+      std::erase_if(streams_, [](const auto& weak) { return weak.expired(); });
       streams_.push_back(state);
     }
     return Stream(std::move(state));
+  }
+
+  /// Streams in the registry that drain() waits for: the live ones, plus
+  /// any dropped since the last create_stream() (a test hook).
+  [[nodiscard]] std::size_t registered_streams() const
+      AABFT_EXCLUDES(streams_mu_) {
+    core::MutexLock lk(streams_mu_);
+    return streams_.size();
   }
 
   /// Enqueue a kernel launch on `stream` and return immediately. The body is
@@ -206,14 +220,20 @@ class Launcher {
   }
 
   /// Enqueue a host function on `stream` (not logged as a kernel). Host
-  /// functions may perform nested synchronous launch() calls.
+  /// functions may perform nested synchronous launch() calls; they run under
+  /// the enqueuing thread's ScopedFaultController override (none when it had
+  /// none), so nested launches resolve the controller as they would have on
+  /// that thread.
   void launch_host_async(Stream& stream, std::string name,
                          std::function<void()> fn) {
     AABFT_REQUIRE(stream.valid(), "stream is not attached to a launcher");
     detail::StreamState::Op op;
     op.is_kernel = false;
     op.name = std::move(name);
-    op.host = std::move(fn);
+    op.host = [faults = thread_fault_controller(), fn = std::move(fn)] {
+      ScopedFaultController scope(faults);
+      fn();
+    };
     op.on_complete = [this](const LaunchStats&, std::exception_ptr error) {
       if (error) note_async_error(error);
     };
@@ -339,7 +359,8 @@ class Launcher {
   std::once_flag pool_once_;
   std::unique_ptr<Executor> pool_;
 
-  core::Mutex streams_mu_{core::LockRank::kDeviceStreams, "device.streams"};
+  mutable core::Mutex streams_mu_{core::LockRank::kDeviceStreams,
+                                  "device.streams"};
   std::vector<std::weak_ptr<detail::StreamState>> streams_
       AABFT_GUARDED_BY(streams_mu_);
 

@@ -1,11 +1,10 @@
-// Bounded MPMC request queue with priority classes and shape-matching pops.
+// Bounded MPMC request queue with priority classes and batch pops.
 //
-// Admission pushes from any number of client threads; the dispatcher pops
-// the highest-priority head (FIFO within a class) and then drains further
-// requests of the *same padded shape* via try_pop_matching — the primitive
-// the batch assembler builds cross-request batches from. The bound is the
-// backpressure mechanism: a full queue rejects at admission instead of
-// growing without limit.
+// Admission pushes from any number of client threads; the dispatcher takes
+// each cross-request batch with one pop_batch: the highest-priority head
+// (FIFO within a class) plus the requests already queued with the head's
+// batch key. The bound is the backpressure mechanism: a full queue rejects
+// at admission instead of growing without limit.
 #pragma once
 
 #include <array>
@@ -14,6 +13,7 @@
 #include <deque>
 #include <future>
 #include <optional>
+#include <vector>
 
 #include "core/require.hpp"
 #include "core/sync.hpp"
@@ -86,40 +86,38 @@ class BoundedRequestQueue {
     return depth_after;
   }
 
-  /// Block until an item is available or the queue is closed *and* drained
-  /// (nullopt). Highest priority class first, FIFO within a class.
-  std::optional<PendingRequest> pop() AABFT_EXCLUDES(mu_) {
+  /// Block until a request is queued or the queue is closed *and* drained
+  /// (empty batch). The batch is the head, highest priority class first and
+  /// FIFO within a class, plus up to max_batch - 1 further requests already
+  /// queued with the head's ShapeKey, taken in the same order; requests of
+  /// other keys stay queued. It never waits for companions: the dispatcher
+  /// serves each batch to completion before it pops again, so while it
+  /// waited every pool worker would idle.
+  std::vector<PendingRequest> pop_batch(std::size_t max_batch)
+      AABFT_EXCLUDES(mu_) {
+    std::vector<PendingRequest> batch;
     core::UniqueLock lk(mu_);
     while (size_ == 0 && !closed_) cv_.wait(lk);
-    if (size_ == 0) return std::nullopt;
+    std::optional<ShapeKey> key;  // the head's, once taken
     for (auto& bucket : buckets_)
-      if (!bucket.empty()) {
-        PendingRequest item = std::move(bucket.front());
-        bucket.pop_front();
-        --size_;
-        return item;
-      }
-    return std::nullopt;  // unreachable: size_ > 0
-  }
-
-  /// Non-blocking: remove and return the first queued request whose padded
-  /// shape equals `key`, scanning priority classes in order.
-  std::optional<PendingRequest> try_pop_matching(const ShapeKey& key)
-      AABFT_EXCLUDES(mu_) {
-    core::MutexLock lk(mu_);
-    for (auto& bucket : buckets_)
-      for (auto it = bucket.begin(); it != bucket.end(); ++it)
-        if (shape_of(*it) == key) {
-          PendingRequest item = std::move(*it);
-          bucket.erase(it);
-          --size_;
-          return item;
+      for (auto it = bucket.begin();
+           it != bucket.end() && (batch.empty() || batch.size() < max_batch);) {
+        if (!key) key = shape_of(*it);
+        if (shape_of(*it) != *key) {
+          ++it;
+          continue;
         }
-    return std::nullopt;
+        batch.push_back(std::move(*it));
+        it = bucket.erase(it);
+      }
+    size_ -= batch.size();
+    return batch;
   }
 
-  /// Block up to `timeout` for the queue to become nonempty (the batch
-  /// assembler's linger wait). True when an item is available on return.
+  /// Block up to `timeout` for the queue to become nonempty. True when an
+  /// item is available on return. The dispatcher waits here rather than in
+  /// pop_batch so that it re-checks its pause gate at least once per
+  /// timeout while the queue stays empty.
   bool wait_nonempty_for(std::chrono::microseconds timeout)
       AABFT_EXCLUDES(mu_) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -129,8 +127,8 @@ class BoundedRequestQueue {
     return size_ > 0;
   }
 
-  /// Refuse further pushes; pop() drains the remainder and then returns
-  /// nullopt forever.
+  /// Refuse further pushes; pop_batch() drains the remainder and then
+  /// returns empty batches forever.
   void close() AABFT_EXCLUDES(mu_) {
     {
       core::MutexLock lk(mu_);

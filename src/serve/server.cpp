@@ -102,7 +102,6 @@ void GemmServer::ensure_lanes(std::size_t want) {
 }
 
 void GemmServer::dispatch_loop() {
-  BatchAssembler assembler(queue_, config_.batch);
   for (;;) {
     {
       core::UniqueLock lk(pause_mu_);
@@ -115,7 +114,7 @@ void GemmServer::dispatch_loop() {
       continue;
     }
     if (paused()) continue;
-    auto batch = assembler.next_batch();
+    auto batch = queue_.pop_batch(config_.batch.max_batch);
     if (batch.empty()) break;  // closed and drained
     serve_batch(std::move(batch));
   }

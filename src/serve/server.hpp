@@ -1,7 +1,7 @@
 // GemmServer: the multi-tenant fault-tolerant BLAS-3 serving front end.
 //
 // One dispatcher thread pops priority-ordered batches of shape-and-kind-
-// compatible requests from the bounded queue (BatchAssembler) and runs them
+// compatible requests from the bounded queue (pop_batch) and runs them
 // through the primary A-ABFT scheme on the ProtectedBlas3 operation API:
 // clean GEMM batches, cache-backed or cold, go through the one pipelined
 // execute_batch call over borrowed operands, while faulted batches and the
@@ -34,12 +34,16 @@
 #include "baselines/schemes.hpp"
 #include "core/result.hpp"
 #include "serve/admission.hpp"
-#include "serve/batcher.hpp"
 #include "serve/queue.hpp"
 #include "serve/recovery.hpp"
 #include "serve/telemetry.hpp"
 
 namespace aabft::serve {
+
+struct BatchConfig {
+  /// Max requests coalesced into one dispatch. 1 disables batching.
+  std::size_t max_batch = 8;
+};
 
 struct ServeConfig {
   AdmissionConfig admission;

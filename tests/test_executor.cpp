@@ -276,4 +276,30 @@ TEST(Executor, MultiplyBatchReportsPerProblemErrors) {
   EXPECT_EQ(batch[0]->c, ref0.c);
 }
 
+// The launcher's stream registry holds only live streams (plus, until the
+// next create_stream, the ones dropped since): every batch call creates
+// fresh lanes, so without pruning a long-running server's registry, and the
+// StreamState allocations its expired entries pin, grows by one per lane.
+TEST(Executor, StreamRegistryHoldsOnlyLiveStreams) {
+  Launcher launcher(k20c(), 2);
+  const Stream kept0 = launcher.create_stream();
+  const Stream kept1 = launcher.create_stream();
+  for (int i = 0; i < 10000; ++i) (void)launcher.create_stream();
+  const Stream probe = launcher.create_stream();
+  EXPECT_EQ(launcher.registered_streams(), 3u);
+
+  // The same through the batch call, whose lanes a worker may still be
+  // releasing when it returns: the registry stays bounded either way.
+  Rng rng(17);
+  AabftConfig config;
+  config.bs = 16;
+  AabftMultiplier mult(launcher, config);
+  const Matrix a = uniform_matrix(16, 16, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(16, 16, -1.0, 1.0, rng);
+  const std::vector<Operands> one = {{&a, &b}};
+  for (int i = 0; i < 1000; ++i)
+    ASSERT_TRUE(mult.multiply_batch(one).front().ok());
+  EXPECT_LE(launcher.registered_streams(), 3u + 2u * launcher.workers());
+}
+
 }  // namespace

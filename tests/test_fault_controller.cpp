@@ -1,7 +1,8 @@
 // FaultController lifecycle tests: one-shot firing, disarm()/re-arm
 // bookkeeping across back-to-back protected multiplies, the thread-scoped
-// controller override used by the serving layer, and fault-domain isolation
-// across distinct Launchers (the fleet's per-device blast-radius contract).
+// controller override used by the serving layer (also inside host tasks that
+// batch calls enqueue), and fault-domain isolation across distinct Launchers
+// (the fleet's per-device blast-radius contract).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -18,6 +19,9 @@ namespace {
 
 using namespace aabft::gpusim;
 using aabft::Rng;
+using aabft::abft::AabftConfig;
+using aabft::abft::AabftMultiplier;
+using aabft::abft::Operands;
 using aabft::linalg::blocked_matmul;
 using aabft::linalg::Matrix;
 using aabft::linalg::naive_matmul;
@@ -200,6 +204,74 @@ TEST(FaultController, AttachedControllerIsPerLauncher) {
   EXPECT_NE(blocked_matmul(device0, a, b), ref);
   EXPECT_EQ(attached.fired_count(), 1u);
   device0.set_fault_controller(nullptr);
+}
+
+TEST(FaultController, BatchHostTasksRunUnderTheCallersScopedController) {
+  // A batch call runs each problem as a host task on a pool worker. The
+  // caller's scoped controller must reach the launches inside those tasks,
+  // exactly as it reaches multiply()'s, or a campaign that drives the batch
+  // path under a scoped controller silently measures fault-free runs.
+  Rng rng(67);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+
+  Launcher launcher(k20c(), 2);
+  AabftMultiplier mult(launcher, AabftConfig{});
+  FaultController scoped;
+  ScopedFaultController guard(&scoped);
+
+  scoped.arm(deterministic_fault());
+  const auto single = mult.multiply(a, b);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(scoped.fired_count(), 1u);
+  EXPECT_TRUE(single->error_detected());
+
+  scoped.arm(deterministic_fault());
+  const std::vector<Operands> one = {{&a, &b}};
+  const auto batch = mult.multiply_batch(one);
+  ASSERT_TRUE(batch.front().ok());
+  EXPECT_EQ(scoped.fired_count(), 1u) << "the batch dropped the fault";
+  EXPECT_TRUE(batch.front()->error_detected());
+  scoped.disarm();
+}
+
+TEST(FaultController, HostTaskOverrideIsTheEnqueuersOnly) {
+  // With no override on the enqueuing thread, a host task that launches on a
+  // different launcher (the sweep's per-cell launchers) consults that
+  // launcher's attached controller. A task sees the override its enqueuer
+  // had at enqueue time, and never one left behind by an earlier task.
+  Rng rng(71);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix ref = naive_matmul(a, b, false);
+
+  Launcher coordinator(k20c(), 2);
+  Launcher cell(k20c(), 2);
+  FaultController attached;
+  attached.arm(deterministic_fault());
+  cell.set_fault_controller(&attached);
+
+  Stream lane = coordinator.create_stream();
+  Matrix from_cell;
+  coordinator.launch_host_async(
+      lane, "cell", [&] { from_cell = blocked_matmul(cell, a, b); });
+  FaultController scoped;
+  FaultController* seen_scoped = nullptr;
+  FaultController* seen_after = &scoped;
+  {
+    ScopedFaultController guard(&scoped);
+    coordinator.launch_host_async(
+        lane, "scoped", [&] { seen_scoped = thread_fault_controller(); });
+  }
+  coordinator.launch_host_async(
+      lane, "after", [&] { seen_after = thread_fault_controller(); });
+  lane.synchronize();
+
+  EXPECT_NE(from_cell, ref);
+  EXPECT_EQ(attached.fired_count(), 1u);
+  EXPECT_EQ(seen_scoped, &scoped);
+  EXPECT_EQ(seen_after, nullptr);
+  cell.set_fault_controller(nullptr);
 }
 
 }  // namespace

@@ -347,7 +347,6 @@ FleetConfig small_fleet_config() {
   FleetConfig config;
   config.devices = 3;
   config.workers_per_device = 2;
-  config.serve.batch.linger = std::chrono::microseconds(50);
   return config;
 }
 

@@ -1,12 +1,15 @@
 // GemmServer end-to-end tests: admission control, priority dispatch,
 // cross-request batching, per-request fault plans, the recovery ladder, and
-// the non-GEMM request kinds (SYRK, Cholesky, LU) of the ProtectedBlas3 API.
+// the non-GEMM request kinds (SYRK, Cholesky, LU) of the ProtectedBlas3 API;
+// plus unit tests of the request queue's batch pop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -172,7 +175,7 @@ TEST(Serve, HighPriorityDispatchesFirst) {
   config.start_paused = true;
   GemmServer server(launcher, config);
   Rng rng(17);
-  // Distinct shapes so the batch assembler cannot coalesce them.
+  // Distinct shapes so no batch pop can coalesce them.
   const Matrix a1 = uniform_matrix(32, 32, -1.0, 1.0, rng);
   const Matrix b1 = uniform_matrix(32, 32, -1.0, 1.0, rng);
   const Matrix a2 = uniform_matrix(33, 32, -1.0, 1.0, rng);
@@ -563,6 +566,101 @@ TEST(Serve, StopDrainsQueuedRequests) {
   auto late = server.submit(make_request(a, b));
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.error().code, ErrorCode::kOverloaded);
+}
+
+// ---- pop_batch unit tests (no launcher) -----------------------------------
+
+/// A queued request carrying only what the queue reads: its priority and
+/// its batch key (op kind, padded extents, operand-cache handle).
+PendingRequest queued(std::uint64_t id, Priority priority, std::size_t n,
+                      OpKind kind = OpKind::kGemm, std::uint64_t handle = 0) {
+  PendingRequest item;
+  item.request.id = id;
+  item.request.priority = priority;
+  item.desc = {kind, n, n, n};
+  item.a_handle = handle;
+  return item;
+}
+
+std::vector<std::uint64_t> ids_of(const std::vector<PendingRequest>& batch) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& item : batch) ids.push_back(item.request.id);
+  return ids;
+}
+
+TEST(RequestQueue, PopBatchTakesTheHeadsKeyInPriorityThenFifoOrder) {
+  BoundedRequestQueue queue(16);
+  ASSERT_TRUE(queue.try_push(queued(1, Priority::kNormal, 32)));
+  ASSERT_TRUE(queue.try_push(queued(2, Priority::kBatch, 32)));
+  ASSERT_TRUE(queue.try_push(queued(3, Priority::kHigh, 64)));
+  ASSERT_TRUE(queue.try_push(queued(4, Priority::kNormal, 64)));
+  ASSERT_TRUE(queue.try_push(queued(5, Priority::kHigh, 32)));
+  ASSERT_TRUE(queue.try_push(queued(6, Priority::kBatch, 64)));
+  ASSERT_TRUE(queue.try_push(queued(7, Priority::kNormal, 32)));
+
+  // The head is the oldest high-priority request; its companions follow in
+  // priority order, FIFO within a class.
+  EXPECT_EQ(ids_of(queue.pop_batch(8)), (std::vector<std::uint64_t>{3, 4, 6}));
+  EXPECT_EQ(queue.depth(), 4u);
+  EXPECT_EQ(ids_of(queue.pop_batch(8)),
+            (std::vector<std::uint64_t>{5, 1, 7, 2}));
+  EXPECT_EQ(queue.depth(), 0u);
+}
+
+TEST(RequestQueue, PopBatchRespectsTheCapAndLeavesOtherKeysQueued) {
+  BoundedRequestQueue queue(16);
+  const auto normal = Priority::kNormal;
+  ASSERT_TRUE(queue.try_push(queued(1, normal, 32)));
+  ASSERT_TRUE(queue.try_push(queued(2, normal, 32, OpKind::kSyrk)));
+  ASSERT_TRUE(queue.try_push(queued(3, normal, 32)));
+  ASSERT_TRUE(queue.try_push(queued(4, normal, 32, OpKind::kGemm, 7)));
+  for (std::uint64_t id = 5; id <= 7; ++id)
+    ASSERT_TRUE(queue.try_push(queued(id, normal, 32)));
+
+  EXPECT_EQ(ids_of(queue.pop_batch(3)), (std::vector<std::uint64_t>{1, 3, 5}));
+  EXPECT_EQ(queue.depth(), 4u);
+  // Another kind, or another cached A, is another batch.
+  EXPECT_EQ(ids_of(queue.pop_batch(3)), (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(ids_of(queue.pop_batch(3)), (std::vector<std::uint64_t>{4}));
+  // A cap of 1 disables batching.
+  EXPECT_EQ(ids_of(queue.pop_batch(1)), (std::vector<std::uint64_t>{6}));
+  EXPECT_EQ(ids_of(queue.pop_batch(3)), (std::vector<std::uint64_t>{7}));
+  EXPECT_EQ(queue.depth(), 0u);
+}
+
+TEST(RequestQueue, ClosedAndDrainedQueueReturnsAnEmptyBatch) {
+  BoundedRequestQueue queue(4);
+  std::vector<PendingRequest> woken(1);  // emptied only by the pop
+  std::thread waiter([&] { woken = queue.pop_batch(8); });
+  queue.close();  // wakes the pop blocked on the empty queue
+  waiter.join();
+  EXPECT_TRUE(woken.empty());
+
+  BoundedRequestQueue draining(4);
+  ASSERT_TRUE(draining.try_push(queued(1, Priority::kNormal, 32)));
+  draining.close();
+  EXPECT_FALSE(draining.try_push(queued(2, Priority::kNormal, 32)));
+  EXPECT_EQ(ids_of(draining.pop_batch(8)), (std::vector<std::uint64_t>{1}));
+  EXPECT_TRUE(draining.pop_batch(8).empty());
+}
+
+TEST(RequestQueue, LoneRequestComesBackAtOnce) {
+  // The dispatcher serves each batch to completion before it pops again, so
+  // a pop that waited for companions would hold a lone request while every
+  // worker idled. A lone queued request must come straight back.
+  BoundedRequestQueue queue(4);
+  std::vector<double> pop_us;
+  for (std::uint64_t id = 1; id <= 20; ++id) {
+    ASSERT_TRUE(queue.try_push(queued(id, Priority::kNormal, 32)));
+    const auto start = std::chrono::steady_clock::now();
+    const auto batch = queue.pop_batch(8);
+    pop_us.push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    ASSERT_EQ(ids_of(batch), (std::vector<std::uint64_t>{id}));
+  }
+  std::nth_element(pop_us.begin(), pop_us.begin() + 10, pop_us.end());
+  EXPECT_LT(pop_us[10], 100.0) << "median lone pop in microseconds";
 }
 
 // ---- recovery-ladder unit tests (fake schemes, no launcher) ---------------

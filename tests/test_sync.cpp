@@ -7,7 +7,6 @@
 // every thread's held stack at zero.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -143,7 +142,6 @@ TEST(LockRank, FleetSoakIterationHasCleanOrdering) {
   fleet::FleetConfig config;
   config.devices = 3;
   config.workers_per_device = 2;
-  config.serve.batch.linger = std::chrono::microseconds(50);
   fleet::FleetServer fleet_server(config);
   const std::uint64_t a_handle = fleet_server.register_operand(a);
 

@@ -463,6 +463,9 @@ int main() {
               "p99 %.3f ms, max %.3f ms\n",
               stats.e2e_ns.p50() / 1e6, stats.e2e_ns.p95() / 1e6,
               stats.e2e_ns.p99() / 1e6, stats.e2e_ns.max() / 1e6);
+  std::printf("  queue wait              : p50 %.3f ms, p99 %.3f ms\n",
+              stats.queue_wait_ns.p50() / 1e6,
+              stats.queue_wait_ns.p99() / 1e6);
   serve_telemetry = server.telemetry_json();
   }  // soak phase
 
@@ -575,10 +578,13 @@ int main() {
       LatencyRecorder e2e;
       for (const auto& shard : stats.shards) e2e.merge(shard.fleet_e2e_ns);
       const double p99_ms = static_cast<double>(e2e.p99()) / 1e6;
-      std::printf("  %-9s: %zu/%zu ok, p99 %.3f ms, %llu steals, %llu "
-                  "replays, %llu reconstructions, %zu fenced\n",
-                  label, completed, fleet_requests,
-                  p99_ms, static_cast<unsigned long long>(stats.steals),
+      std::printf("  %-9s: %zu/%zu ok, p99 %.3f ms (queue wait p50 %.3f ms, "
+                  "p99 %.3f ms), %llu steals, %llu replays, %llu "
+                  "reconstructions, %zu fenced\n",
+                  label, completed, fleet_requests, p99_ms,
+                  stats.totals.queue_wait_ns.p50() / 1e6,
+                  stats.totals.queue_wait_ns.p99() / 1e6,
+                  static_cast<unsigned long long>(stats.steals),
                   static_cast<unsigned long long>(stats.replays),
                   static_cast<unsigned long long>(stats.reconstructions),
                   stats.fenced_devices);
