@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "abft/pmax_scan.hpp"
 #include "core/require.hpp"
 #include "gpusim/hazard.hpp"
 
@@ -11,31 +12,6 @@ namespace aabft::abft {
 using gpusim::BlockCtx;
 using gpusim::Dim3;
 using linalg::Matrix;
-
-namespace {
-
-/// Merge per-block candidate lists into one list per vector. Runs as its own
-/// (low-utilisation) kernel launch so Table I can charge its cost; the paper
-/// overlaps it with the GEMM, which the scheme-level timing also models.
-PMaxTable reduce_pmax(gpusim::Launcher& launcher, const char* name,
-                      const std::vector<PMaxList>& candidates,
-                      std::size_t vectors, std::size_t chunks, std::size_t p) {
-  PMaxTable table(vectors, PMaxList(p));
-  launcher.launch(name, Dim3{vectors, 1, 1}, [&](BlockCtx& blk) {
-    const std::size_t v = blk.block.x;
-    PMaxList merged(p);
-    std::size_t comparisons = 0;
-    for (std::size_t c = 0; c < chunks; ++c)
-      comparisons += merged.merge(candidates[v * chunks + c]);
-    blk.math.count_compares(comparisons);
-    blk.math.load_doubles(chunks * p * 2);  // candidate values + indices
-    blk.math.store_doubles(p * 2);
-    table[v] = std::move(merged);
-  });
-  return table;
-}
-
-}  // namespace
 
 EncodedMatrix encode_columns(gpusim::Launcher& launcher, const Matrix& a,
                              const PartitionedCodec& codec, std::size_t p) {

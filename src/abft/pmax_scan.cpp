@@ -11,12 +11,9 @@ using gpusim::BlockCtx;
 using gpusim::Dim3;
 using linalg::Matrix;
 
-namespace {
-
-PMaxTable reduce_chunks(gpusim::Launcher& launcher, const char* name,
-                        const std::vector<PMaxList>& candidates,
-                        std::size_t vectors, std::size_t chunks,
-                        std::size_t p) {
+PMaxTable reduce_pmax(gpusim::Launcher& launcher, const char* name,
+                      const std::vector<PMaxList>& candidates,
+                      std::size_t vectors, std::size_t chunks, std::size_t p) {
   PMaxTable table(vectors, PMaxList(p));
   launcher.launch(name, Dim3{vectors, 1, 1}, [&](BlockCtx& blk) {
     const std::size_t v = blk.block.x;
@@ -25,14 +22,12 @@ PMaxTable reduce_chunks(gpusim::Launcher& launcher, const char* name,
     for (std::size_t c = 0; c < chunks; ++c)
       comparisons += merged.merge(candidates[v * chunks + c]);
     blk.math.count_compares(comparisons);
-    blk.math.load_doubles(chunks * p * 2);
+    blk.math.load_doubles(chunks * p * 2);  // candidate values + indices
     blk.math.store_doubles(p * 2);
     table[v] = std::move(merged);
   });
   return table;
 }
-
-}  // namespace
 
 PMaxTable collect_row_pmax(gpusim::Launcher& launcher, const Matrix& m,
                            std::size_t p, std::size_t chunk) {
@@ -56,7 +51,7 @@ PMaxTable collect_row_pmax(gpusim::Launcher& launcher, const Matrix& m,
     math.store_doubles(p * 2);
   });
 
-  return reduce_chunks(launcher, "reduce_pmax_rows", candidates, rows, chunks, p);
+  return reduce_pmax(launcher, "reduce_pmax_rows", candidates, rows, chunks, p);
 }
 
 PMaxTable collect_col_pmax(gpusim::Launcher& launcher, const Matrix& m,
@@ -81,7 +76,7 @@ PMaxTable collect_col_pmax(gpusim::Launcher& launcher, const Matrix& m,
     math.store_doubles(p * 2);
   });
 
-  return reduce_chunks(launcher, "reduce_pmax_cols", candidates, cols, chunks, p);
+  return reduce_pmax(launcher, "reduce_pmax_cols", candidates, cols, chunks, p);
 }
 
 }  // namespace aabft::abft

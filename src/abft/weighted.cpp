@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "abft/pmax_scan.hpp"
 #include "abft/upper_bound.hpp"
 #include "core/require.hpp"
 
@@ -70,25 +71,6 @@ linalg::Matrix WeightedCodec::strip(const Matrix& c_fc) const {
 }
 
 namespace {
-
-PMaxTable reduce_candidates(gpusim::Launcher& launcher, const char* name,
-                            const std::vector<PMaxList>& candidates,
-                            std::size_t vectors, std::size_t chunks,
-                            std::size_t p) {
-  PMaxTable table(vectors, PMaxList(p));
-  launcher.launch(name, Dim3{vectors, 1, 1}, [&](BlockCtx& blk) {
-    const std::size_t v = blk.block.x;
-    PMaxList merged(p);
-    std::size_t comparisons = 0;
-    for (std::size_t c = 0; c < chunks; ++c)
-      comparisons += merged.merge(candidates[v * chunks + c]);
-    blk.math.count_compares(comparisons);
-    blk.math.load_doubles(chunks * p * 2);
-    blk.math.store_doubles(p * 2);
-    table[v] = std::move(merged);
-  });
-  return table;
-}
 
 /// Scan-and-zero p-max search over a strided value array, offering results
 /// with a global index offset (Algorithm 1, Figure 3 style).
@@ -178,8 +160,8 @@ WeightedEncoded weighted_encode_columns(gpusim::Launcher& launcher,
 
   WeightedEncoded out;
   out.data = std::move(enc);
-  out.pmax = reduce_candidates(launcher, "reduce_pmax_aw", candidates,
-                               enc_rows, col_chunks, p);
+  out.pmax = reduce_pmax(launcher, "reduce_pmax_aw", candidates, enc_rows,
+                         col_chunks, p);
   return out;
 }
 
@@ -247,8 +229,8 @@ WeightedEncoded weighted_encode_rows(gpusim::Launcher& launcher, const Matrix& b
 
   WeightedEncoded out;
   out.data = std::move(enc);
-  out.pmax = reduce_candidates(launcher, "reduce_pmax_bw", candidates,
-                               enc_cols, row_chunks, p);
+  out.pmax = reduce_pmax(launcher, "reduce_pmax_bw", candidates, enc_cols,
+                         row_chunks, p);
   return out;
 }
 

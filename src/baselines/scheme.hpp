@@ -14,8 +14,8 @@
 // never an assertion.
 //
 // Two facets:
-//   - execute / execute_batch: run the scheme's *full* pipeline on raw
-//     operands and report what happened through the shared OpOutcome core.
+//   - execute: run the scheme's *full* pipeline on raw operands and report
+//     what happened through the shared OpOutcome core.
 //   - ProductChecker (optional, via make_checker): check an *externally
 //     computed* full-checksum product. Fault-injection campaigns need this —
 //     both ABFT contenders must judge the same faulty product so the
@@ -30,11 +30,9 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <string_view>
 #include <vector>
 
-#include "abft/aabft.hpp"
 #include "abft/checksum.hpp"
 #include "abft/encoder.hpp"
 #include "baselines/op.hpp"
@@ -118,20 +116,6 @@ class ProtectedBlas3 {
   [[nodiscard]] virtual Result<OpOutcome> execute(const OpDescriptor& desc,
                                                   const linalg::Matrix& a,
                                                   const linalg::Matrix& b) = 0;
-
-  /// Execute independent problems of one op kind over borrowed operands.
-  /// The default runs them sequentially and ignores a supplied a_light;
-  /// schemes with a pipelined implementation (A-ABFT GEMM) override it to
-  /// overlap problems across streams. Result i always corresponds to problem
-  /// i and is bit-identical to a sequential execute(problems[i]).
-  [[nodiscard]] virtual std::vector<Result<OpOutcome>> execute_batch(
-      OpKind kind, std::span<const abft::Operands> problems) {
-    std::vector<Result<OpOutcome>> out;
-    out.reserve(problems.size());
-    for (const abft::Operands& p : problems)
-      out.push_back(execute(OpDescriptor::of(kind, *p.a, *p.b), *p.a, *p.b));
-    return out;
-  }
 
   /// Checker over an already-encoded operand pair, or nullptr when the
   /// scheme cannot judge an external product (TMR family, unprotected).

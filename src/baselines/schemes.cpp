@@ -309,22 +309,6 @@ Result<OpOutcome> AabftScheme::execute(const OpDescriptor& desc,
   return unsupported(name(), desc.kind);
 }
 
-std::vector<Result<OpOutcome>> AabftScheme::execute_batch(
-    OpKind kind, std::span<const abft::Operands> problems) {
-  if (kind != OpKind::kGemm)
-    return ProtectedBlas3::execute_batch(kind, problems);  // sequential
-  std::vector<Result<abft::AabftResult>> raw = mult_.multiply_batch(problems);
-  std::vector<Result<OpOutcome>> out;
-  out.reserve(raw.size());
-  for (auto& r : raw) {
-    if (r.ok())
-      out.push_back(gemm_outcome(std::move(r).value()));
-    else
-      out.push_back(r.error());
-  }
-  return out;
-}
-
 PaperAabftScheme::PaperAabftScheme(gpusim::Launcher& launcher,
                                    abft::AabftConfig config)
     : launcher_(launcher), config_(config), codec_(config.bs) {

@@ -103,10 +103,6 @@ class AabftScheme final : public ProtectedBlas3 {
   /// Other op kinds ignore it.
   [[nodiscard]] Result<OpOutcome> execute(const OpDescriptor& desc,
                                           const abft::Operands& ops);
-  /// GEMM batches pipeline across streams (AabftMultiplier::multiply_batch)
-  /// and honour each problem's a_light; other op kinds run sequentially.
-  [[nodiscard]] std::vector<Result<OpOutcome>> execute_batch(
-      OpKind kind, std::span<const abft::Operands> problems) override;
 
  private:
   gpusim::Launcher& launcher_;

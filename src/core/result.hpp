@@ -22,7 +22,7 @@ namespace aabft {
 enum class ErrorCode {
   kShapeMismatch,   ///< operand dimensions are incompatible
   kInvalidArgument, ///< an argument value is outside the accepted domain
-  kExecutionFailed, ///< an asynchronous pipeline failed to complete
+  kExecutionFailed, ///< a pipeline or scheme call failed to complete
   kOverloaded,      ///< admission refused: the request queue is full
   kDeadlineInfeasible, ///< admission refused: the deadline cannot be met
   kUnsupportedOp,   ///< the scheme does not implement the requested op kind

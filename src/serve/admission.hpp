@@ -60,13 +60,6 @@ class AdmissionController {
     return backlog_flops_.load(std::memory_order_relaxed);
   }
 
-  /// The padded-problem GEMM flop count (the backlog model's historical
-  /// helper; other op kinds go through OpDescriptor::flops).
-  [[nodiscard]] static std::uint64_t flops_of(std::size_t m, std::size_t k,
-                                              std::size_t q) noexcept {
-    return 2ull * m * k * q;
-  }
-
  private:
   AdmissionConfig config_;
   std::size_t bs_;

@@ -115,9 +115,9 @@ class BoundedRequestQueue {
   }
 
   /// Block up to `timeout` for the queue to become nonempty. True when an
-  /// item is available on return. The dispatcher waits here rather than in
-  /// pop_batch so that it re-checks its pause gate at least once per
-  /// timeout while the queue stays empty.
+  /// item is available on return. The dispatcher polls here rather than
+  /// block in pop_batch: it re-checks its pause gate once per timeout, and a
+  /// blocking pop measured slower (see GemmServer::dispatch_loop).
   bool wait_nonempty_for(std::chrono::microseconds timeout)
       AABFT_EXCLUDES(mu_) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;

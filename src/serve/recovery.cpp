@@ -46,7 +46,8 @@ RecoveryOutcome run_ladder(baselines::ProtectedBlas3& primary,
 
   while (outcome.retries < policy.retry_budget) {
     ++outcome.retries;
-    if (consider(primary.execute(desc, a, b), RecoveryRung::kRetry)) {
+    if (consider(attempt([&] { return primary.execute(desc, a, b); }),
+                 RecoveryRung::kRetry)) {
       outcome.ok = true;
       return outcome;
     }
@@ -54,7 +55,8 @@ RecoveryOutcome run_ladder(baselines::ProtectedBlas3& primary,
 
   if (policy.escalate_tmr && tmr != nullptr && tmr->supports(desc.kind)) {
     outcome.tmr_escalated = true;
-    if (consider(tmr->execute(desc, a, b), RecoveryRung::kTmr)) {
+    if (consider(attempt([&] { return tmr->execute(desc, a, b); }),
+                 RecoveryRung::kTmr)) {
       outcome.ok = true;
       return outcome;
     }

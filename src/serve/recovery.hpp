@@ -10,11 +10,15 @@
 // usually clean), then escalate to the TMR scheme (element voting for
 // products, whole-result replica voting for factorizations), and finally
 // fail with a diagnosis instead of serving a result nobody vouches for.
+// A scheme call that throws is a failed rung like any refused one, so the
+// ladder always ends in a response.
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "baselines/scheme.hpp"
 #include "serve/request.hpp"
@@ -42,11 +46,23 @@ struct RecoveryOutcome {
 /// Map a clean in-scheme result onto the deepest rung that ran.
 [[nodiscard]] RecoveryRung rung_of(const baselines::OpOutcome& r) noexcept;
 
+/// Run one scheme call as a rung: a std::exception it throws (a kernel whose
+/// tile overflows the device's shared memory, a hazard abort) comes back as
+/// a kExecutionFailed error carrying what(), so the ladder climbs on.
+template <typename Call>
+[[nodiscard]] Result<baselines::OpOutcome> attempt(Call&& call) {
+  try {
+    return std::forward<Call>(call)();
+  } catch (const std::exception& e) {
+    return Error{ErrorCode::kExecutionFailed, e.what()};
+  }
+}
+
 /// Climb the serve-level rungs for one operation. `first` is the result of
 /// the already-run primary execute (possibly with faults armed); retries and
-/// the TMR escalation re-run fault-free. `tmr` may be nullptr to disable
-/// escalation regardless of policy; it is also skipped when it does not
-/// support `desc.kind`.
+/// the TMR escalation re-run fault-free, each through attempt(). `tmr` may be
+/// nullptr to disable escalation regardless of policy; it is also skipped
+/// when it does not support `desc.kind`.
 [[nodiscard]] RecoveryOutcome run_ladder(
     baselines::ProtectedBlas3& primary, baselines::ProtectedBlas3* tmr,
     const baselines::OpDescriptor& desc, const linalg::Matrix& a,

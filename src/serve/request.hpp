@@ -42,7 +42,7 @@ struct GemmRequest {
   linalg::Matrix b;
   /// Operand-cache handle standing in for `a` (GEMM only; 0 = none). Set it
   /// to a handle from GemmServer::register_operand and leave `a` empty: the
-  /// dispatcher consumes the cached encoded artifacts, skipping A's
+  /// server consumes the cached encoded artifacts, skipping A's
   /// per-request checksum encode. Requests with inline `a` may still hit the
   /// cache implicitly by content fingerprint.
   std::uint64_t a_handle = 0;

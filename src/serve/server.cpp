@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "abft/padding.hpp"
@@ -107,8 +106,12 @@ void GemmServer::dispatch_loop() {
       core::UniqueLock lk(pause_mu_);
       while (paused_ && !stopping_) pause_cv_.wait(lk);
     }
-    // Bounded wait so a pause() that lands while we sleep on an empty queue
-    // is observed before the next pop.
+    // Poll in 1 ms waits rather than block in pop_batch. The timeout lets
+    // the loop re-check its pause gate, but that is not why the poll stays:
+    // a blocking pop (a pause flag in the queue, woken by pause() and
+    // stop()) cut an idle server's wakeups from about 940/s to none, yet
+    // raised serve_mixed's and fleet_zipf's open-loop p50 in every measured
+    // pair, for a reason not yet traced (EXPERIMENTS.md, "Dispatcher poll").
     if (!queue_.wait_nonempty_for(std::chrono::microseconds(1000))) {
       if (queue_.closed() && queue_.depth() == 0) break;
       continue;
@@ -123,147 +126,115 @@ void GemmServer::dispatch_loop() {
 void GemmServer::serve_batch(std::vector<PendingRequest>&& batch) {
   const std::size_t n = batch.size();
   const std::uint64_t dispatch_ns = now_ns();
-  bool any_faults = false;
-  // Borrowed operands, never copied: a cache-backed request reads the pinned
-  // padded A and its light encode (the pin keeps both alive through the
-  // recovery ladder), a cold request its own inline A.
-  std::vector<abft::Operands> operands;
-  operands.reserve(n);
-  for (auto& item : batch) {
-    item.trace.dispatch_ns = dispatch_ns;
-    item.trace.batch_size = n;
-    item.trace.faults_armed = item.request.fault_plan.size();
-    any_faults |= !item.request.fault_plan.empty();
-    if (item.pin != nullptr)
-      operands.push_back(
-          {&item.pin->padded, &item.request.b, &item.pin->light});
-    else
-      operands.push_back({&item.request.a, &item.request.b});
-  }
-
-  // Batches are kind-homogeneous (the batch key includes the op kind).
-  const bool gemm_batch =
-      batch.front().desc.kind == baselines::OpKind::kGemm;
-
-  // Result<> has no default constructor, hence the optional wrapper; a slot
-  // left empty means the compute task died before producing a result.
-  std::vector<std::optional<Result<baselines::OpOutcome>>> results(n);
-  if (gemm_batch && !any_faults) {
-    // The pipelined GEMM fast path, one call for cache-backed and cold
-    // problems alike: a supplied light encode skips A's encode pass.
-    std::vector<Result<baselines::OpOutcome>> batch_results =
-        primary_.execute_batch(baselines::OpKind::kGemm, operands);
-    const std::uint64_t compute_ns = now_ns();
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i] = std::move(batch_results[i]);
-      batch[i].trace.compute_ns = compute_ns;
-    }
-  } else {
-    // Per-request fault plans need per-request controller lifecycles (and
-    // non-GEMM kinds have no batched dispatch), so each operation runs as
-    // its own host task: arm -> execute under a thread-scoped controller ->
-    // read fired count -> disarm. Tasks spread round-robin over the stream
-    // lanes and overlap across pool workers.
-    ensure_lanes(std::min<std::size_t>(
-        n, std::max<std::size_t>(1, launcher_.workers())));
-    for (std::size_t i = 0; i < n; ++i) {
-      launcher_.launch_host_async(
-          lanes_[i % lanes_.size()], "serve_request",
-          [this, i, &batch, &operands, &results] {
-            PendingRequest& item = batch[i];
-            if (item.request.fault_plan.empty()) {
-              results[i] = primary_.execute(item.desc, operands[i]);
-            } else {
-              gpusim::FaultController ctl;
-              ctl.arm_many(item.request.fault_plan);
-              {
-                gpusim::ScopedFaultController guard(&ctl);
-                results[i] = primary_.execute(item.desc, operands[i]);
-              }
-              ctl.disarm();
-              item.trace.faults_fired = ctl.fired_count();
-            }
-            item.trace.compute_ns = now_ns();
-          });
-    }
-    for (auto& lane : lanes_) lane.synchronize();
-  }
-
+  // One host task per request, round-robin over the stream lanes: the tasks
+  // overlap across pool workers, and each settles and answers its request.
+  ensure_lanes(std::min<std::size_t>(
+      n, std::max<std::size_t>(1, launcher_.workers())));
   for (std::size_t i = 0; i < n; ++i) {
     PendingRequest& item = batch[i];
-    if (item.trace.compute_ns == 0) item.trace.compute_ns = now_ns();
-    Result<baselines::OpOutcome> first =
-        results[i] ? std::move(*results[i])
-                   : Result<baselines::OpOutcome>(Error{
-                         ErrorCode::kExecutionFailed,
-                         "compute task did not produce a result"});
-    RecoveryOutcome outcome = run_ladder(
-        primary_, config_.recovery.escalate_tmr ? &tmr_ : nullptr, item.desc,
-        *operands[i].a, *operands[i].b, std::move(first), config_.recovery);
-    item.trace.repair_ns = now_ns();
-
-    GemmResponse response;
-    response.id = item.request.id;
-    response.kind = item.desc.kind;
-    item.trace.retries = outcome.retries;
-    item.trace.tmr_escalated = outcome.tmr_escalated;
-    if (outcome.result) {
-      baselines::OpOutcome& r = *outcome.result;
-      item.trace.corrected = r.corrected;
-      item.trace.corrections = r.corrections;
-      item.trace.panel_detections = r.panel_detections;
-      item.trace.panel_recomputes = r.panel_recomputes;
-      item.trace.block_recomputes = r.block_recomputes;
-      item.trace.full_recomputes = r.recomputed;
-      item.trace.detected =
-          r.detected || outcome.rung != RecoveryRung::kNone;
-      linalg::Matrix c = std::move(r.c);
-      if (c.rows() != item.orig_m || c.cols() != item.orig_q)
-        c = abft::unpad_to(c, item.orig_m, item.orig_q);
-      response.c = std::move(c);
-      response.perm = std::move(r.perm);
-    } else {
-      item.trace.detected = true;
-    }
-    response.rung = outcome.rung;
-    if (outcome.ok) {
-      response.status = ResponseStatus::kOk;
-      response.clean = true;
-    } else {
-      response.status = ResponseStatus::kFailed;
-      response.clean = false;
-      response.diagnosis = outcome.diagnosis;
-    }
-    item.trace.complete_ns = now_ns();
-    response.trace = item.trace;
-
-    if (outcome.ok) {
-      StatsBoard::bump(stats_.completed);
-      StatsBoard::bump(
-          stats_.completed_by_kind[static_cast<std::size_t>(item.desc.kind)]);
-    } else {
-      StatsBoard::bump(stats_.failed);
-    }
-    if (item.trace.detected) StatsBoard::bump(stats_.detected);
-    if (item.trace.corrected) StatsBoard::bump(stats_.corrected);
-    StatsBoard::bump(stats_.corrections, item.trace.corrections);
-    StatsBoard::bump(stats_.panel_detections, item.trace.panel_detections);
-    StatsBoard::bump(stats_.block_recomputes, item.trace.block_recomputes);
-    StatsBoard::bump(stats_.full_recomputes, item.trace.full_recomputes);
-    StatsBoard::bump(stats_.retries, item.trace.retries);
-    if (item.trace.tmr_escalated) StatsBoard::bump(stats_.tmr_escalations);
-    StatsBoard::bump(stats_.faults_armed, item.trace.faults_armed);
-    StatsBoard::bump(stats_.faults_fired, item.trace.faults_fired);
-    stats_.record_queue_wait(item.trace.dispatch_ns - item.trace.enqueue_ns);
-    stats_.record_service(item.trace.repair_ns - item.trace.dispatch_ns);
-    stats_.record_e2e(item.trace.complete_ns - item.trace.enqueue_ns);
-    item.promise.set_value(std::move(response));
-    admission_.on_complete(item.est_flops);
+    item.trace.dispatch_ns = dispatch_ns;
+    item.trace.batch_size = n;
+    launcher_.launch_host_async(lanes_[i % lanes_.size()], "serve_request",
+                                [this, &item] { serve_one(item); });
   }
+  for (auto& lane : lanes_) lane.synchronize();
 
   StatsBoard::bump(stats_.batches);
   if (n >= 2) StatsBoard::bump(stats_.batched_requests, n);
   stats_.note_batch_size(n);
+}
+
+void GemmServer::serve_one(PendingRequest& item) {
+  // Borrowed operands, never copied: a cache-backed request reads the pinned
+  // padded A and its light encode (the pin keeps both alive through the
+  // recovery ladder), a cold request its own inline A.
+  const abft::Operands operands =
+      item.pin != nullptr
+          ? abft::Operands{&item.pin->padded, &item.request.b,
+                           &item.pin->light}
+          : abft::Operands{&item.request.a, &item.request.b};
+  const auto compute = [&] {
+    return attempt([&] { return primary_.execute(item.desc, operands); });
+  };
+  item.trace.faults_armed = item.request.fault_plan.size();
+  // A fault plan gets a private controller, armed for the first pass only:
+  // concurrent requests on the shared launcher keep independent blast radii,
+  // and the ladder's retries run fault-free.
+  Result<baselines::OpOutcome> first = [&] {
+    if (item.request.fault_plan.empty()) return compute();
+    gpusim::FaultController ctl;
+    ctl.arm_many(item.request.fault_plan);
+    Result<baselines::OpOutcome> armed = [&] {
+      gpusim::ScopedFaultController guard(&ctl);
+      return compute();
+    }();
+    ctl.disarm();
+    item.trace.faults_fired = ctl.fired_count();
+    return armed;
+  }();
+  item.trace.compute_ns = now_ns();
+
+  RecoveryOutcome outcome = run_ladder(
+      primary_, config_.recovery.escalate_tmr ? &tmr_ : nullptr, item.desc,
+      *operands.a, *operands.b, std::move(first), config_.recovery);
+  item.trace.repair_ns = now_ns();
+
+  GemmResponse response;
+  response.id = item.request.id;
+  response.kind = item.desc.kind;
+  item.trace.retries = outcome.retries;
+  item.trace.tmr_escalated = outcome.tmr_escalated;
+  if (outcome.result) {
+    baselines::OpOutcome& r = *outcome.result;
+    item.trace.corrected = r.corrected;
+    item.trace.corrections = r.corrections;
+    item.trace.panel_detections = r.panel_detections;
+    item.trace.panel_recomputes = r.panel_recomputes;
+    item.trace.block_recomputes = r.block_recomputes;
+    item.trace.full_recomputes = r.recomputed;
+    item.trace.detected = r.detected || outcome.rung != RecoveryRung::kNone;
+    linalg::Matrix c = std::move(r.c);
+    if (c.rows() != item.orig_m || c.cols() != item.orig_q)
+      c = abft::unpad_to(c, item.orig_m, item.orig_q);
+    response.c = std::move(c);
+    response.perm = std::move(r.perm);
+  } else {
+    item.trace.detected = true;
+  }
+  response.rung = outcome.rung;
+  if (outcome.ok) {
+    response.status = ResponseStatus::kOk;
+    response.clean = true;
+  } else {
+    response.status = ResponseStatus::kFailed;
+    response.clean = false;
+    response.diagnosis = outcome.diagnosis;
+  }
+  item.trace.complete_ns = now_ns();
+  response.trace = item.trace;
+
+  if (outcome.ok) {
+    StatsBoard::bump(stats_.completed);
+    StatsBoard::bump(
+        stats_.completed_by_kind[static_cast<std::size_t>(item.desc.kind)]);
+  } else {
+    StatsBoard::bump(stats_.failed);
+  }
+  if (item.trace.detected) StatsBoard::bump(stats_.detected);
+  if (item.trace.corrected) StatsBoard::bump(stats_.corrected);
+  StatsBoard::bump(stats_.corrections, item.trace.corrections);
+  StatsBoard::bump(stats_.panel_detections, item.trace.panel_detections);
+  StatsBoard::bump(stats_.block_recomputes, item.trace.block_recomputes);
+  StatsBoard::bump(stats_.full_recomputes, item.trace.full_recomputes);
+  StatsBoard::bump(stats_.retries, item.trace.retries);
+  if (item.trace.tmr_escalated) StatsBoard::bump(stats_.tmr_escalations);
+  StatsBoard::bump(stats_.faults_armed, item.trace.faults_armed);
+  StatsBoard::bump(stats_.faults_fired, item.trace.faults_fired);
+  stats_.record_queue_wait(item.trace.dispatch_ns - item.trace.enqueue_ns);
+  stats_.record_service(item.trace.repair_ns - item.trace.dispatch_ns);
+  stats_.record_e2e(item.trace.complete_ns - item.trace.enqueue_ns);
+  item.promise.set_value(std::move(response));
+  admission_.on_complete(item.est_flops);
 }
 
 }  // namespace aabft::serve

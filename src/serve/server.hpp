@@ -1,22 +1,21 @@
 // GemmServer: the multi-tenant fault-tolerant BLAS-3 serving front end.
 //
 // One dispatcher thread pops priority-ordered batches of shape-and-kind-
-// compatible requests from the bounded queue (pop_batch) and runs them
-// through the primary A-ABFT scheme on the ProtectedBlas3 operation API:
-// clean GEMM batches, cache-backed or cold, go through the one pipelined
-// execute_batch call over borrowed operands, while faulted batches and the
-// other op kinds (SYRK, Cholesky, LU) run as per-request host tasks through
-// execute(). Every response settles through the recovery ladder
-// (serve/recovery.hpp). Clients talk to the server through submit(), which
-// returns a future for the response or an admission refusal as a Result
-// error; op kinds the primary scheme does not support are refused as
-// kUnsupportedOp values, never asserted.
+// compatible requests from the bounded queue (pop_batch) and serves each
+// request of a batch as one host task on the stream lanes: the task runs the
+// primary A-ABFT scheme's execute() over borrowed operands (a cache-backed
+// GEMM brings A's light encode), climbs the recovery ladder
+// (serve/recovery.hpp) and answers the request. Clients talk to the server
+// through submit(), which returns a future for the response or an admission
+// refusal as a Result error; op kinds the primary scheme does not support
+// are refused as kUnsupportedOp values, never asserted.
 //
 // Thread model: submit() is safe from any number of client threads (queue
 // and admission are synchronized, stats counters are lock-free atomics on a
-// StatsBoard); the dispatcher exclusively owns batch assembly and the
-// recovery ladder. stats() snapshots the board in one acquire pass, so a
-// fleet aggregator can poll per-shard stats mid-run without torn reads.
+// StatsBoard); the dispatcher exclusively owns batch assembly and the lanes,
+// and a batch's host tasks run concurrently on pool workers, each touching
+// only its own request. stats() snapshots the board in one acquire pass, so
+// a fleet aggregator can poll per-shard stats mid-run without torn reads.
 // pause()/resume() gate the dispatcher between batches — test drivers use
 // them to build up coalescible queues.
 #pragma once
@@ -129,6 +128,8 @@ class GemmServer {
  private:
   void dispatch_loop();
   void serve_batch(std::vector<PendingRequest>&& batch);
+  /// One request from compute to response; runs as the request's host task.
+  void serve_one(PendingRequest& item);
   void ensure_lanes(std::size_t want);
   [[nodiscard]] bool paused() const AABFT_EXCLUDES(pause_mu_);
 

@@ -3,13 +3,13 @@
 //
 // ServerStats is the plain snapshot value handed to callers; the live
 // counters sit in a StatsBoard. The board's counters are lock-free atomics
-// (client threads bump admission counters, the dispatcher bumps completion
-// counters, nobody serialises against readers), and snapshot() reads them in
-// a single acquire pass — each counter is loaded exactly once, whole, so a
-// fleet aggregator polling per-shard stats mid-run can never observe a torn
-// counter. The latency recorders (multi-word histograms that cannot be read
-// atomically) stay behind a short-hold mutex taken per record and once per
-// snapshot; the dispatcher is their only writer.
+// (client threads bump admission counters, the per-request host tasks bump
+// completion counters, nobody serialises against readers), and snapshot()
+// reads them in a single acquire pass — each counter is loaded exactly once,
+// whole, so a fleet aggregator polling per-shard stats mid-run can never
+// observe a torn counter. The latency recorders (multi-word histograms that
+// cannot be read atomically) stay behind a short-hold mutex taken per record
+// and once per snapshot; the host tasks write them concurrently.
 #pragma once
 
 #include <array>

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "baselines/schemes.hpp"
@@ -79,33 +78,6 @@ TEST(Schemes, EveryContenderRejectsShapeMismatchRecoverably) {
     const auto result = gemm(*scheme, a, b);
     ASSERT_FALSE(result.ok()) << scheme->name();
     EXPECT_EQ(result.error().code, ErrorCode::kShapeMismatch) << scheme->name();
-  }
-}
-
-TEST(Schemes, DefaultBatchMatchesSequentialForAllContenders) {
-  Rng rng(19);
-  std::vector<std::pair<Matrix, Matrix>> problems;
-  for (int i = 0; i < 3; ++i)
-    problems.emplace_back(uniform_matrix(64, 64, -1.0, 1.0, rng),
-                          uniform_matrix(64, 64, -1.0, 1.0, rng));
-
-  Launcher seq_launcher;
-  Launcher batch_launcher;
-  const auto seq_schemes = make_schemes(seq_launcher);
-  const auto batch_schemes = make_schemes(batch_launcher);
-  std::vector<aabft::abft::Operands> operands;
-  for (const auto& [a, b] : problems) operands.push_back({&a, &b});
-  for (std::size_t s = 0; s < seq_schemes.size(); ++s) {
-    const auto batch =
-        batch_schemes[s]->execute_batch(OpKind::kGemm, operands);
-    ASSERT_EQ(batch.size(), problems.size());
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      const auto ref =
-          gemm(*seq_schemes[s], problems[i].first, problems[i].second);
-      ASSERT_TRUE(ref.ok());
-      ASSERT_TRUE(batch[i].ok()) << seq_schemes[s]->name();
-      EXPECT_EQ(batch[i]->c, ref->c) << seq_schemes[s]->name();
-    }
   }
 }
 

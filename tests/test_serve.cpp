@@ -8,6 +8,8 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -543,6 +545,43 @@ TEST(Serve, FaultedCholeskyIsRepairedClean) {
   EXPECT_LE(chol_residual(a, response.c), 1e-9);
 }
 
+TEST(Serve, ThrowingKernelsFailRungsNotTheServer) {
+  // A 128-deep fused k-panel stages 33 x 128 x 2 doubles (67.6 KB), more than
+  // the K20C's 48 KB of shared memory per block, so every primary GEMM throws
+  // at launch. Each throw is a failed rung: the TMR rung, on the blocked
+  // GEMM, answers every request of the batch, and the server lives on.
+  Launcher launcher;
+  ServeConfig config;
+  config.aabft.fused.bk = 128;
+  config.start_paused = true;  // queue the requests into one batch
+  GemmServer server(launcher, config);
+  Rng rng(83);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix reference =
+      linalg::blocked_matmul(launcher, a, b, config.aabft.gemm);
+
+  std::vector<std::future<GemmResponse>> pending;
+  for (int i = 0; i < 3; ++i) {
+    auto admitted = server.submit(make_request(a, b));
+    ASSERT_TRUE(admitted.ok());
+    pending.push_back(std::move(*admitted));
+  }
+  server.resume();
+  for (auto& f : pending) {
+    const GemmResponse response = f.get();
+    EXPECT_EQ(response.status, ResponseStatus::kOk);
+    EXPECT_EQ(response.rung, RecoveryRung::kTmr);
+    EXPECT_EQ(response.trace.retries, 1u);
+    EXPECT_EQ(response.trace.batch_size, 3u);
+    EXPECT_EQ(response.c, reference);
+  }
+  server.stop();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.tmr_escalations, 3u);
+}
+
 TEST(Serve, StopDrainsQueuedRequests) {
   Launcher launcher;
   ServeConfig config;
@@ -700,6 +739,20 @@ class FakeScheme final : public baselines::ProtectedBlas3 {
   bool factorizations_;
 };
 
+/// A scheme whose every execute throws, as a kernel that cannot launch does.
+class ThrowingScheme final : public baselines::ProtectedBlas3 {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "throwing";
+  }
+  [[nodiscard]] Result<baselines::OpOutcome> execute(
+      const baselines::OpDescriptor&, const Matrix&, const Matrix&) override {
+    ++calls;
+    throw std::runtime_error("kernel exceeds the device's shared memory");
+  }
+  int calls = 0;
+};
+
 const baselines::OpDescriptor kFakeDesc = baselines::OpDescriptor::gemm(2, 2, 2);
 
 TEST(RecoveryLadder, RetrySettlesTransientFailures) {
@@ -726,6 +779,30 @@ TEST(RecoveryLadder, EscalatesToTmrWhenRetriesExhaust) {
   EXPECT_EQ(outcome.retries, 1u);
   EXPECT_TRUE(outcome.tmr_escalated);
   EXPECT_EQ(tmr.calls, 1);
+}
+
+TEST(RecoveryLadder, ThrowingRetryIsAFailedRung) {
+  ThrowingScheme primary;
+  FakeScheme tmr("fake-tmr", /*clean_after=*/0);  // always clean
+  const Matrix a(2, 2, 1.0);
+  const Error first{ErrorCode::kExecutionFailed, "first pass threw"};
+  RecoveryPolicy policy;  // retry_budget = 1
+  auto outcome = run_ladder(primary, &tmr, kFakeDesc, a, a, first, policy);
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_EQ(outcome.rung, RecoveryRung::kTmr);
+  EXPECT_EQ(outcome.retries, 1u);
+  EXPECT_EQ(primary.calls, 1);
+  EXPECT_EQ(tmr.calls, 1);
+
+  // A TMR rung that throws too exhausts the ladder; the diagnosis is the
+  // exception's message.
+  ThrowingScheme throwing_tmr;
+  auto failed =
+      run_ladder(primary, &throwing_tmr, kFakeDesc, a, a, first, policy);
+  EXPECT_FALSE(failed.ok);
+  EXPECT_EQ(failed.rung, RecoveryRung::kFailed);
+  EXPECT_TRUE(failed.tmr_escalated);
+  EXPECT_NE(failed.diagnosis.find("shared memory"), std::string::npos);
 }
 
 TEST(RecoveryLadder, FailsWithDiagnosisWhenExhausted) {

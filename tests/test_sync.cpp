@@ -130,8 +130,10 @@ TEST(LockRank, UniqueLockManualUnlockRelock) {
 // submissions, work stealing, a forced mid-run device failure (replay +
 // operand reconstruction), stop() with its cross-subsystem lock nesting
 // (fleet stop -> shard-queue close -> serve stop -> pause -> queue). Any
-// rank inversion anywhere in that machinery throws LockOrderError out of a
-// worker thread and aborts the test; a clean run ends with this thread
+// rank inversion anywhere in that machinery throws LockOrderError: out of a
+// worker thread, which aborts the test, or out of a scheme call, which the
+// server's recovery ladder takes as a failed rung, so every response must
+// come from the first pass (rung kNone). A clean run ends with this thread
 // holding nothing.
 TEST(LockRank, FleetSoakIterationHasCleanOrdering) {
   Rng rng(29);
@@ -159,6 +161,7 @@ TEST(LockRank, FleetSoakIterationHasCleanOrdering) {
   for (auto& fut : futures) {
     const fleet::FleetResponse resp = fut.get();
     EXPECT_EQ(resp.response.status, serve::ResponseStatus::kOk);
+    EXPECT_EQ(resp.response.rung, serve::RecoveryRung::kNone);
     EXPECT_EQ(resp.response.c, ref);
   }
   fleet_server.stop();  // the deepest lock nesting in the tree
