@@ -4,8 +4,8 @@
 //   1. Erasure-coding microbenchmark — ns/word to stripe an operand with XOR
 //      parity (put) and to reconstruct it with one shard fenced (get).
 //   2. Throughput scaling — one GemmServer on one device versus a 3-device
-//      FleetServer on the same per-device worker budget, same open-loop
-//      request burst.
+//      FleetServer with the same total worker count (the single device gets
+//      devices x workers_per_device workers), same open-loop request burst.
 //   3. Degraded mode — the same fleet burst with one device force-failed
 //      mid-run: surviving throughput, replays, reconstructions, and the p99
 //      inflation clients actually see.
@@ -111,11 +111,12 @@ int main() {
         .num("reconstruct_ns_per_word", rebuild_ns);
   }
 
-  // ---- 2. single server vs fleet -------------------------------------------
+  // ---- 2. single server vs fleet, equal total workers -----------------------
+  constexpr unsigned kDevices = 3;
   const unsigned workers_per_device = 2;
   double single_rps = 0.0;
   {
-    gpusim::Launcher launcher(gpusim::k20c(), workers_per_device);
+    gpusim::Launcher launcher(gpusim::k20c(), kDevices * workers_per_device);
     serve::GemmServer server(launcher);
     std::vector<std::future<serve::GemmResponse>> futures;
     futures.reserve(requests);
@@ -131,8 +132,10 @@ int main() {
     server.stop();
     single_rps = static_cast<double>(completed) / wall;
     const double p99_ms = server.stats().e2e_ns.p99() / 1e6;
-    std::printf("single server:  %zu/%zu ok, %7.1f req/s, p99 %.2f ms\n",
-                completed, requests, single_rps, p99_ms);
+    std::printf("single server:  %zu/%zu ok, %7.1f req/s, p99 %.2f ms "
+                "(%u workers)\n",
+                completed, requests, single_rps, p99_ms,
+                kDevices * workers_per_device);
     json.begin_row()
         .str("case", "single_server")
         .num("n", n)
@@ -145,19 +148,16 @@ int main() {
   double fleet_rps = 0.0;
   {
     fleet::FleetConfig config;
-    config.devices = 3;
+    config.devices = kDevices;
     config.workers_per_device = workers_per_device;
     fleet::FleetServer fleet(config);
     const BurstResult r = fleet_burst(fleet, a, b, requests);
     fleet.stop();
     fleet_rps = static_cast<double>(r.completed) / r.wall_s;
-    const auto stats = fleet.stats();
     std::printf(
-        "fleet (3 dev):  %zu/%zu ok, %7.1f req/s, p99 %.2f ms, %llu steals "
+        "fleet (3 dev):  %zu/%zu ok, %7.1f req/s, p99 %.2f ms "
         "(%.2fx vs single)\n",
-        r.completed, requests, fleet_rps, r.p99_ms,
-        static_cast<unsigned long long>(stats.steals),
-        fleet_rps / single_rps);
+        r.completed, requests, fleet_rps, r.p99_ms, fleet_rps / single_rps);
     json.begin_row()
         .str("case", "fleet_3dev")
         .num("n", n)
@@ -165,14 +165,13 @@ int main() {
         .num("completed", r.completed)
         .num("req_per_s", fleet_rps, 1)
         .num("p99_ms", r.p99_ms)
-        .num("steals", static_cast<std::size_t>(stats.steals))
         .num("speedup_vs_single", fleet_rps / single_rps);
   }
 
   // ---- 3. degraded mode: one device force-failed mid-burst ------------------
   {
     fleet::FleetConfig config;
-    config.devices = 3;
+    config.devices = kDevices;
     config.workers_per_device = workers_per_device;
     fleet::FleetServer fleet(config);
     const BurstResult r =

@@ -15,7 +15,7 @@
 //      AABFT_NO_LOCK_RANK_CHECKS is defined): every Mutex carries a
 //      documented LockRank; a thread may only acquire a mutex whose rank is
 //      *strictly greater* than every lock it already holds. Acquiring out of
-//      order — the shape every cross-subsystem deadlock in a feeder/collector
+//      order — the shape every cross-subsystem deadlock in a collector
 //      /dispatcher system takes — throws LockOrderError naming both locks
 //      and the full held stack, so a seeded inversion aborts the test that
 //      introduced it instead of deadlocking a soak run years later. The
@@ -28,7 +28,7 @@
 // lock of a *lower* band):
 //
 //   100..199  fleet control plane   (FleetServer stop / chaos / store /
-//                                    router / shard queues / inflight /
+//                                    router / cache map / inflight /
 //                                    telemetry)
 //   200..299  serve layer           (GemmServer stop / pause / request queue
 //                                    / stats recorders)
@@ -64,8 +64,7 @@ enum class LockRank : int {
   kFleetRouter = 120,    ///< ShardRouter shape-affinity map
   kFleetOperandStore = 130,  ///< OperandStore stripe index
   kFleetCacheMap = 135,  ///< fleet-handle -> per-shard serve-cache handle map
-  kFleetQueues = 140,    ///< ShardQueues (work stealing, one lock for all N)
-  kFleetInflight = 150,  ///< per-shard dispatched-uncollected window
+  kFleetInflight = 150,  ///< per-shard admitted-uncollected collector deque
   kFleetTelemetry = 160, ///< per-shard fleet e2e latency recorder
 
   // -- serve layer (src/serve) --

@@ -11,6 +11,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// The collector's two waits, for work on its deque and for the response
+// future, are 500 µs polls rather than blocking waits. On the 4-vCPU VM the
+// benchmark runs on, blocking waits cost fleet_zipf about 0.06 ms of p50
+// and 0.17 ms of p95, and a 1 ms poll did not win it back (EXPERIMENTS.md
+// "Fleet queues"): a vCPU left idle with no timer pending appears to wake
+// late (EXPERIMENTS.md "Dispatcher poll").
+constexpr std::chrono::microseconds kPoll{500};
+
 [[nodiscard]] std::uint64_t ns_since(Clock::time_point start) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -37,13 +45,10 @@ FleetServer::FleetServer(FleetConfig config)
     : config_(config),
       store_(config.devices),
       router_(config.router),
-      queues_(config.devices, config.queue_capacity_per_shard),
       chaos_rng_(config.chaos_seed) {
   AABFT_REQUIRE(config_.devices >= 3,
                 "FleetServer: need >= 3 devices (erasure coding strips "
                 "operands as devices-1 data + 1 parity)");
-  AABFT_REQUIRE(config_.inflight_window >= 1,
-                "FleetServer: in-flight window must be at least 1");
   shards_.reserve(config_.devices);
   for (std::size_t s = 0; s < config_.devices; ++s) {
     auto shard = std::make_unique<Shard>(config_.health);
@@ -61,7 +66,6 @@ FleetServer::FleetServer(FleetConfig config)
   }
   for (auto& shard : shards_) {
     Shard* s = shard.get();
-    s->feeder = std::thread([this, s] { feeder_loop(*s); });
     s->collector = std::thread([this, s] { collector_loop(*s); });
   }
 }
@@ -93,38 +97,55 @@ serve::ShapeKey FleetServer::route_key(const FleetRequest& req) const {
 
 Result<std::future<FleetResponse>> FleetServer::submit(FleetRequest req) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (stopping_.load(std::memory_order_acquire)) {
+  const auto refuse = [&](Error error) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Error{ErrorCode::kUnavailable, "fleet is stopping"};
-  }
+    return error;
+  };
+  if (stopping_.load(std::memory_order_acquire))
+    return refuse(Error{ErrorCode::kUnavailable, "fleet is stopping"});
   for (std::uint64_t handle : {req.a_handle, req.b_handle}) {
     if (handle == FleetRequest::kInlineOperand) continue;
-    auto d = store_.dims(handle);
-    if (!d.ok()) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return d.error();
+    if (auto d = store_.dims(handle); !d.ok()) return refuse(d.error());
+  }
+  const auto target =
+      router_.route(route_key(req), shard_loads(), availabilities());
+  if (!target)
+    return refuse(Error{ErrorCode::kUnavailable,
+                        "every device in the fleet is fenced"});
+  Shard& shard = *shards_[*target];
+
+  Inflight item;
+  item.job.req = std::move(req);
+  item.job.fleet_id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  // Shard admission preserves nonzero ids.
+  item.job.req.request.id = item.job.fleet_id;
+  item.job.submitted_at = Clock::now();
+  auto admitted =
+      dispatch(item.job, shard, item.reconstructed, item.chaos_armed);
+  if (!admitted.ok()) return refuse(admitted.error());
+  item.fut = std::move(*admitted);
+  shard.routed.fetch_add(1, std::memory_order_relaxed);
+  auto fut = item.job.promise.get_future();
+
+  // Trust is decided at collection time, so the response is judged even if
+  // the shard was fenced after routing. Once stop() has closed the
+  // collector, this thread collects its own response: the shard's server
+  // still answers it, because servers stop only after every collector has
+  // joined and a stopping server drains what it admitted.
+  bool queued = false;
+  {
+    core::MutexLock lk(shard.inflight_mu);
+    if (!shard.closed) {
+      shard.inflight.push_back(std::move(item));
+      shard.inflight_count.store(shard.inflight.size(),
+                                 std::memory_order_relaxed);
+      queued = true;
     }
   }
-  const auto shard =
-      router_.route(route_key(req), shard_loads(), availabilities());
-  if (!shard) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Error{ErrorCode::kUnavailable,
-                 "every device in the fleet is fenced"};
-  }
-  Job job;
-  job.req = std::move(req);
-  job.fleet_id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  job.req.request.id = job.fleet_id;  // shard admission preserves nonzero ids
-  job.submitted_at = Clock::now();
-  auto fut = job.promise.get_future();
-  if (!queues_.try_push(*shard, std::move(job))) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Error{ErrorCode::kOverloaded,
-                 "fleet queue for shard " + std::to_string(*shard) +
-                     " is full"};
-  }
-  shards_[*shard]->routed.fetch_add(1, std::memory_order_relaxed);
+  if (queued)
+    shard.inflight_cv.notify_all();
+  else
+    collect(shard, std::move(item));
   return fut;
 }
 
@@ -228,114 +249,49 @@ void FleetServer::drop_cache_mapping(std::uint64_t fleet_handle,
   if (it != cache_map_.end()) it->second[shard] = CacheMapEntry{};
 }
 
-void FleetServer::feeder_loop(Shard& shard) {
-  for (;;) {
-    if (shard.fenced.load(std::memory_order_acquire)) {
-      redistribute(shard);
-      break;
-    }
-    auto popped =
-        queues_.pop(shard.index, std::chrono::microseconds(500));
-    if (!popped) {
-      if (queues_.closed() && queues_.total_depth() == 0) break;
-      continue;
-    }
-    if (popped->stolen)
-      shard.stolen.fetch_add(1, std::memory_order_relaxed);
-    Job job = std::move(popped->item);
+Result<std::future<serve::GemmResponse>> FleetServer::dispatch(
+    const Job& job, Shard& shard, bool& reconstructed,
+    std::size_t& chaos_armed) {
+  auto resolved = resolve_for(job, shard.index, reconstructed);
+  if (!resolved.ok()) return resolved.error();
+  const std::uint64_t used_handle = resolved->a_handle;
+  chaos_armed = arm_chaos(shard, *resolved);
+  auto admitted = shard.server->submit(std::move(*resolved));
+  if (admitted.ok() || used_handle == 0 ||
+      admitted.error().code != ErrorCode::kInvalidArgument)
+    return admitted;
+  // The shard's serve cache evicted the mapped entry between resolution and
+  // admission: drop the stale mapping and resolve once more (the retry
+  // re-registers or falls back to an inline operand).
+  drop_cache_mapping(job.req.a_handle, shard.index);
+  auto again = resolve_for(job, shard.index, reconstructed);
+  if (!again.ok()) return again.error();
+  chaos_armed = arm_chaos(shard, *again);
+  return shard.server->submit(std::move(*again));
+}
 
-    if (shard.fenced.load(std::memory_order_acquire)) {
-      // Fenced between the pop and here: serve it elsewhere, then drain.
-      std::size_t served_by = shard.index, replays = 0;
-      bool recon = false;
-      auto resp =
-          replay_on_survivor(job, shard.index, served_by, replays, recon);
-      finish(shard, std::move(job), std::move(resp), served_by, replays,
-             recon);
-      continue;
-    }
-
-    bool recon = false;
-    auto resolved = resolve_for(job, shard.index, recon);
-    if (!resolved.ok()) {
-      finish(shard, std::move(job),
-             failed_response(job.fleet_id, job.req.request.kind,
-                             resolved.error().message),
-             shard.index, 0, recon);
-      continue;
-    }
-    serve::GemmRequest to_run = std::move(*resolved);
-
-    // Device-corruption chaos: arm extra faults scoped to this dispatch (and
-    // therefore to this shard's launcher — the fault plan travels inside the
-    // request and is consulted only by the serving shard's worker pool).
-    const auto arm_chaos = [&](serve::GemmRequest& req) {
-      std::size_t chaos = shard.chaos_faults.load(std::memory_order_relaxed);
-      chaos = std::min(chaos, gpusim::FaultController::kMaxFaults -
-                                  std::min(gpusim::FaultController::kMaxFaults,
-                                           req.fault_plan.size()));
-      for (std::size_t i = 0; i < chaos; ++i) {
-        gpusim::FaultConfig fault;
-        fault.site = gpusim::FaultSite::kFinalAdd;
-        fault.sm_id = 0;  // block 0 runs on SM 0: the fault always lands
-        fault.module_id = 0;
-        fault.k_injection = 0;
-        {
-          core::MutexLock lk(chaos_mu_);
-          fault.error_vec =
-              fp::make_error_vec(fp::BitField::kExponent, 1, chaos_rng_);
-        }
-        req.fault_plan.push_back(fault);
-      }
-      return chaos;
-    };
-    std::size_t chaos_armed = arm_chaos(to_run);
-
-    const std::uint64_t used_handle = to_run.a_handle;
-    auto sub = shard.server->submit(std::move(to_run));
-    if (!sub.ok() && used_handle != 0 &&
-        sub.error().code == ErrorCode::kInvalidArgument &&
-        job.req.a_handle != FleetRequest::kInlineOperand) {
-      // The shard's serve cache evicted the mapped entry between resolution
-      // and admission: drop the stale mapping and re-resolve once (the
-      // retry re-registers or falls back to an inline operand).
-      drop_cache_mapping(job.req.a_handle, shard.index);
-      bool recon_retry = false;
-      if (auto again = resolve_for(job, shard.index, recon_retry);
-          again.ok()) {
-        recon |= recon_retry;
-        serve::GemmRequest retry = std::move(*again);
-        chaos_armed = arm_chaos(retry);
-        sub = shard.server->submit(std::move(retry));
-      }
-    }
-    if (!sub.ok()) {
-      // Deterministic refusals (shape) fail outright; transient ones
-      // (overload — impossible while inflight_window <= server capacity)
-      // would fail the same way and surface in the diagnosis.
-      finish(shard, std::move(job),
-             failed_response(job.fleet_id, job.req.request.kind,
-                             sub.error().message),
-             shard.index, 0, recon);
-      continue;
-    }
+std::size_t FleetServer::arm_chaos(const Shard& shard,
+                                   serve::GemmRequest& req) {
+  // The fault plan travels inside the request and is consulted only by the
+  // serving shard's worker pool, so the faults stay scoped to this device.
+  std::size_t chaos = shard.chaos_faults.load(std::memory_order_relaxed);
+  chaos = std::min(chaos, gpusim::FaultController::kMaxFaults -
+                              std::min(gpusim::FaultController::kMaxFaults,
+                                       req.fault_plan.size()));
+  for (std::size_t i = 0; i < chaos; ++i) {
+    gpusim::FaultConfig fault;
+    fault.site = gpusim::FaultSite::kFinalAdd;
+    fault.sm_id = 0;  // block 0 runs on SM 0: the fault always lands
+    fault.module_id = 0;
+    fault.k_injection = 0;
     {
-      core::UniqueLock lk(shard.inflight_mu);
-      while (shard.inflight.size() >= config_.inflight_window &&
-             !shard.fenced.load(std::memory_order_acquire))
-        shard.inflight_cv.wait(lk);
-      shard.inflight.push_back(
-          Inflight{std::move(job), std::move(*sub), chaos_armed, recon});
-      shard.inflight_count.store(shard.inflight.size(),
-                                 std::memory_order_relaxed);
+      core::MutexLock lk(chaos_mu_);
+      fault.error_vec =
+          fp::make_error_vec(fp::BitField::kExponent, 1, chaos_rng_);
     }
-    shard.inflight_cv.notify_all();
+    req.fault_plan.push_back(fault);
   }
-  {
-    core::MutexLock lk(shard.inflight_mu);
-    shard.feeder_done = true;
-  }
-  shard.inflight_cv.notify_all();
+  return chaos;
 }
 
 void FleetServer::collector_loop(Shard& shard) {
@@ -343,50 +299,53 @@ void FleetServer::collector_loop(Shard& shard) {
     Inflight item;
     {
       core::UniqueLock lk(shard.inflight_mu);
-      while (shard.inflight.empty() && !shard.feeder_done)
-        shard.inflight_cv.wait(lk);
-      if (shard.inflight.empty()) break;  // feeder exited and we drained
+      while (shard.inflight.empty() && !shard.closed)
+        shard.inflight_cv.wait_until(lk, Clock::now() + kPoll);
+      if (shard.inflight.empty()) break;  // closed and drained
       item = std::move(shard.inflight.front());
       shard.inflight.pop_front();
       shard.inflight_count.store(shard.inflight.size(),
                                  std::memory_order_relaxed);
     }
-    shard.inflight_cv.notify_all();
-
-    serve::GemmResponse resp = item.fut.get();
-    // Fence state *at collection time* decides trust: a response harvested
-    // after the device was quarantined is discarded and replayed, even if it
-    // looks clean.
-    const bool untrusted = shard.fenced.load(std::memory_order_acquire);
-    if (!untrusted) {
-      // A correction explained by the request's *own* armed fault plan is the
-      // A-ABFT ladder doing its job, not device pathology — don't let
-      // client-injected test faults poison the device's health. Fleet chaos
-      // injection (inject_device_faults) models real corruption and is
-      // always blamed.
-      const bool self_inflicted =
-          !item.job.req.request.fault_plan.empty() && item.chaos_armed == 0;
-      Observation obs;
-      obs.ok = resp.status == serve::ResponseStatus::kOk;
-      obs.corrected = resp.trace.corrected && !self_inflicted;
-      obs.tmr_escalated = resp.trace.tmr_escalated && !self_inflicted;
-      obs.retries = self_inflicted ? 0 : resp.trace.retries;
-      shard.health.observe(obs);
-      if (shard.health.fenced()) fence(shard.index);
-    }
-
-    std::size_t served_by = shard.index, replays = 0;
-    bool recon = item.reconstructed;
-    if (shard.fenced.load(std::memory_order_acquire) ||
-        resp.status == serve::ResponseStatus::kFailed) {
-      resp = replay_on_survivor(item.job, shard.index, served_by, replays,
-                                recon);
-      if (replays > 0)
-        shard.replayed.fetch_add(1, std::memory_order_relaxed);
-    }
-    finish(shard, std::move(item.job), std::move(resp), served_by, replays,
-           recon);
+    collect(shard, std::move(item));
   }
+}
+
+void FleetServer::collect(Shard& shard, Inflight&& item) {
+  while (item.fut.wait_for(kPoll) != std::future_status::ready) {
+  }
+  serve::GemmResponse resp = item.fut.get();
+  // Fence state *at collection time* decides trust: a response harvested
+  // after the device was quarantined is discarded and replayed, even if it
+  // looks clean.
+  const bool untrusted = shard.fenced.load(std::memory_order_acquire);
+  if (!untrusted) {
+    // A correction explained by the request's *own* armed fault plan is the
+    // A-ABFT ladder doing its job, not device pathology — don't let
+    // client-injected test faults poison the device's health. Fleet chaos
+    // injection (inject_device_faults) models real corruption and is
+    // always blamed.
+    const bool self_inflicted =
+        !item.job.req.request.fault_plan.empty() && item.chaos_armed == 0;
+    Observation obs;
+    obs.ok = resp.status == serve::ResponseStatus::kOk;
+    obs.corrected = resp.trace.corrected && !self_inflicted;
+    obs.tmr_escalated = resp.trace.tmr_escalated && !self_inflicted;
+    obs.retries = self_inflicted ? 0 : resp.trace.retries;
+    shard.health.observe(obs);
+    if (shard.health.fenced()) fence(shard.index);
+  }
+
+  std::size_t served_by = shard.index, replays = 0;
+  bool recon = item.reconstructed;
+  if (shard.fenced.load(std::memory_order_acquire) ||
+      resp.status == serve::ResponseStatus::kFailed) {
+    resp = replay_on_survivor(item.job, shard.index, served_by, replays,
+                              recon);
+    if (replays > 0) shard.replayed.fetch_add(1, std::memory_order_relaxed);
+  }
+  finish(shard, std::move(item.job), std::move(resp), served_by, replays,
+         recon);
 }
 
 serve::GemmResponse FleetServer::replay_on_survivor(const Job& job,
@@ -408,7 +367,7 @@ serve::GemmResponse FleetServer::replay_on_survivor(const Job& job,
           shards_[s]->health.availability() /
           (1.0 + static_cast<double>(
                      shards_[s]->inflight_count.load(std::memory_order_relaxed)) +
-           static_cast<double>(queues_.depth(s)));
+           static_cast<double>(shards_[s]->server->queue_depth()));
       if (target == shards_.size() || score > best) {
         target = s;
         best = score;
@@ -417,31 +376,17 @@ serve::GemmResponse FleetServer::replay_on_survivor(const Job& job,
     if (target == shards_.size()) return last;  // nobody left
 
     bool recon = false;
-    auto resolved = resolve_for(job, target, recon);
-    if (!resolved.ok()) {
-      last.diagnosis = resolved.error().message;
-      return last;  // operands unrecoverable: retrying cannot help
-    }
-    const std::uint64_t used_handle = resolved->a_handle;
-    auto sub = shards_[target]->server->submit(std::move(*resolved));
-    if (!sub.ok()) {
-      last.diagnosis = sub.error().message;
-      if (used_handle != 0 &&
-          sub.error().code == ErrorCode::kInvalidArgument &&
-          job.req.a_handle != FleetRequest::kInlineOperand) {
-        // The target's serve cache evicted the mapped entry under us: drop
-        // the mapping and spend the next attempt on a fresh resolution
-        // (the same target stays eligible).
-        drop_cache_mapping(job.req.a_handle, target);
-        continue;
-      }
+    std::size_t chaos_armed = 0;
+    auto admitted = dispatch(job, *shards_[target], recon, chaos_armed);
+    if (!admitted.ok()) {
+      last.diagnosis = admitted.error().message;
       exclude = target;
       continue;
     }
     ++replays;
     replays_.fetch_add(1, std::memory_order_relaxed);
     reconstructed |= recon;
-    last = sub->get();
+    last = admitted->get();
     served_by = target;
     if (last.status == serve::ResponseStatus::kOk &&
         !shards_[target]->fenced.load(std::memory_order_acquire))
@@ -464,9 +409,6 @@ void FleetServer::fence(std::size_t shard) {
   store_epoch_.fetch_add(1, std::memory_order_release);
   router_.forget_shard(shard);
   fenced_count_.fetch_add(1, std::memory_order_relaxed);
-  // Wake the feeder (it drains and re-routes the shard's queue) and anyone
-  // blocked on the in-flight window.
-  shards_[shard]->inflight_cv.notify_all();
 }
 
 void FleetServer::force_fail(std::size_t shard) {
@@ -480,33 +422,6 @@ void FleetServer::inject_device_faults(std::size_t shard,
                 "inject_device_faults: shard out of range");
   shards_[shard]->chaos_faults.store(faults_per_request,
                                      std::memory_order_relaxed);
-}
-
-void FleetServer::redistribute(Shard& from) {
-  std::vector<Job> orphans = queues_.drain_shard(from.index);
-  for (Job& job : orphans) {
-    // Prefer re-queueing on a survivor (its feeder applies the normal
-    // path, including parity reconstruction); replay inline only when no
-    // queue will take the job (shutdown or total overload).
-    std::size_t target = shards_.size();
-    std::size_t best_depth = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s]->fenced.load(std::memory_order_acquire)) continue;
-      const std::size_t depth = queues_.depth(s);
-      if (target == shards_.size() || depth < best_depth) {
-        target = s;
-        best_depth = depth;
-      }
-    }
-    if (target != shards_.size() && queues_.try_push(target, std::move(job)))
-      continue;
-    // try_push moves only on success; on failure the job is still ours.
-    std::size_t served_by = from.index, replays = 0;
-    bool recon = false;
-    auto resp =
-        replay_on_survivor(job, from.index, served_by, replays, recon);
-    finish(from, std::move(job), std::move(resp), served_by, replays, recon);
-  }
 }
 
 void FleetServer::finish(Shard& collector_shard, Job&& job,
@@ -528,7 +443,7 @@ void FleetServer::finish(Shard& collector_shard, Job&& job,
 std::vector<ShardLoad> FleetServer::shard_loads() const {
   std::vector<ShardLoad> loads(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    loads[s].queued = queues_.depth(s);
+    loads[s].queued = shards_[s]->server->queue_depth();
     loads[s].inflight =
         shards_[s]->inflight_count.load(std::memory_order_relaxed);
     loads[s].backlog_flops =
@@ -548,13 +463,18 @@ void FleetServer::stop() {
   core::MutexLock stop_lk(stop_mu_);
   if (stopped_) return;
   stopping_.store(true, std::memory_order_release);
-  queues_.close();
-  for (auto& shard : shards_)
-    if (shard->feeder.joinable()) shard->feeder.join();
+  for (auto& shard : shards_) {
+    {
+      core::MutexLock lk(shard->inflight_mu);
+      shard->closed = true;
+    }
+    shard->inflight_cv.notify_all();
+  }
   for (auto& shard : shards_)
     if (shard->collector.joinable()) shard->collector.join();
-  // Collectors may replay onto sibling servers right up to their exit, so
-  // the per-shard servers stop only after every collector has joined.
+  // Collectors may replay onto sibling servers right up to their exit, and a
+  // submit that raced the close waits on its own shard's server, so the
+  // per-shard servers stop only after every collector has joined.
   for (auto& shard : shards_) shard->server->stop();
   stopped_ = true;
 }
@@ -573,9 +493,8 @@ FleetStats FleetServer::stats() const {
     s.failure_rate = shard->health.failure_rate();
     s.observations = shard->health.observations();
     s.routed = shard->routed.load(std::memory_order_relaxed);
-    s.stolen = shard->stolen.load(std::memory_order_relaxed);
     s.replayed = shard->replayed.load(std::memory_order_relaxed);
-    s.queued = queues_.depth(shard->index);
+    s.queued = shard->server->queue_depth();
     s.inflight = shard->inflight_count.load(std::memory_order_relaxed);
     {
       core::MutexLock lk(shard->e2e_mu);
@@ -586,7 +505,6 @@ FleetStats FleetServer::stats() const {
   }
   stats.submitted = submitted_.load(std::memory_order_relaxed);
   stats.rejected = rejected_.load(std::memory_order_relaxed);
-  stats.steals = queues_.steals();
   stats.replays = replays_.load(std::memory_order_relaxed);
   stats.reconstructions = store_.reconstructions();
   stats.operand_dedups = store_.dedup_hits();

@@ -2,21 +2,21 @@
 // behind one fleet-wide front door — the device-level failure-domain layer
 // on top of the element-level A-ABFT recovery ladder (DESIGN.md §9).
 //
-// Request path: submit() routes by load and health (ShardRouter) into
-// per-shard fleet queues; each shard's *feeder* thread pops its own queue
-// (stealing from the deepest sibling when idle — ShardQueues), resolves
-// erasure-coded operand handles against the OperandStore, and dispatches to
-// the shard's GemmServer with a bounded in-flight window; the shard's
-// *collector* thread harvests responses in dispatch order, feeds the health
-// model, and fulfils the fleet future.
+// Request path: submit() routes by load and health (ShardRouter) and then,
+// on the caller's thread, resolves erasure-coded operand handles against the
+// OperandStore and submits straight to the chosen shard's GemmServer, whose
+// bounded queue is the only queue a request waits in. The admitted response
+// future joins the shard's *collector* deque; the collector thread harvests
+// responses in admission order, feeds the health model, and fulfils the
+// fleet future.
 //
 // Failure domains: every device is a distinct gpusim::Launcher with its own
 // worker pool, so per-request ScopedFaultControllers (and injected chaos
 // faults) are scoped to one device and can never fire on another. When a
 // device's EWMA correction rate spikes past the fence threshold — or
 // force_fail() simulates an abrupt loss — the fleet fences it: the router
-// stops placing there, its queued work is re-routed, its in-flight responses
-// are discarded and replayed on surviving shards, and the operand store
+// stops placing there, responses the device returns after the fence are
+// discarded and replayed on surviving shards, and the operand store
 // reconstructs any operand stripes it held from XOR parity, bit-identically.
 // Clients see only slower responses, never wrong ones.
 #pragma once
@@ -39,7 +39,6 @@
 #include "fleet/health.hpp"
 #include "fleet/parity.hpp"
 #include "fleet/router.hpp"
-#include "fleet/steal.hpp"
 #include "fleet/telemetry.hpp"
 #include "gpusim/kernel.hpp"
 #include "serve/server.hpp"
@@ -53,8 +52,6 @@ struct FleetConfig {
   serve::ServeConfig serve;  ///< per-shard server configuration
   HealthConfig health;
   RouterConfig router;
-  std::size_t queue_capacity_per_shard = 256;  ///< fleet-queue bound
-  std::size_t inflight_window = 8;   ///< dispatched-uncollected cap per shard
   std::size_t replay_budget = 2;     ///< re-run attempts per failed response
   std::uint64_t chaos_seed = 0x51cb75Full;  ///< device-corruption RNG seed
 };
@@ -93,14 +90,18 @@ class FleetServer {
     return store_.put(m);
   }
 
-  /// Route and enqueue. Refusals: kUnavailable (every device fenced, or the
-  /// fleet is stopping), kOverloaded (target shard's fleet queue full),
-  /// kInvalidArgument (unknown operand handle).
+  /// Route, resolve the operands and admit to the chosen shard's server.
+  /// Refusals are values: kUnavailable (every device fenced, the fleet is
+  /// stopping, or an operand lost too many stripes), kInvalidArgument
+  /// (unknown operand handle), and the shard server's own admission
+  /// refusals — kOverloaded (its queue is full), kShapeMismatch,
+  /// kUnsupportedOp. Exactly one response answers every accepted submit,
+  /// also one that races stop().
   [[nodiscard]] Result<std::future<FleetResponse>> submit(FleetRequest req);
 
-  /// Abrupt device loss: fence `shard` now. Queued work re-routes, in-flight
-  /// work replays on survivors, stored operand stripes reconstruct from
-  /// parity. Idempotent.
+  /// Abrupt device loss: fence `shard` now. Work already admitted there
+  /// still runs, but its responses are discarded and replayed on survivors;
+  /// stored operand stripes reconstruct from parity. Idempotent.
   void force_fail(std::size_t shard);
 
   /// Chaos: arm `faults_per_request` device-corruption faults on every
@@ -108,8 +109,9 @@ class FleetServer {
   /// hardware has gone bad). The health model should fence it autonomously.
   void inject_device_faults(std::size_t shard, std::size_t faults_per_request);
 
-  /// Refuse new work, drain the queues, join all shard threads and stop the
-  /// per-shard servers. Idempotent; the destructor calls it.
+  /// Refuse new work, collect every admitted response, join the collector
+  /// threads and stop the per-shard servers. Idempotent; the destructor
+  /// calls it.
   void stop();
 
   [[nodiscard]] FleetStats stats() const;
@@ -121,7 +123,6 @@ class FleetServer {
   [[nodiscard]] const OperandStore& operand_store() const noexcept {
     return store_;
   }
-  [[nodiscard]] std::uint64_t steals() const { return queues_.steals(); }
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
 
  private:
@@ -147,33 +148,33 @@ class FleetServer {
     std::atomic<bool> fenced{false};
     std::atomic<std::size_t> chaos_faults{0};
     std::atomic<std::uint64_t> routed{0};
-    std::atomic<std::uint64_t> stolen{0};
     std::atomic<std::uint64_t> replayed{0};
 
+    /// Admitted, not yet collected, in admission order: the collector's
+    /// work list.
     core::Mutex inflight_mu{core::LockRank::kFleetInflight, "fleet.inflight"};
     core::CondVar inflight_cv;
     std::deque<Inflight> inflight AABFT_GUARDED_BY(inflight_mu);
     std::atomic<std::size_t> inflight_count{0};  ///< lock-free load signal
-    bool feeder_done AABFT_GUARDED_BY(inflight_mu) = false;
+    /// Set by stop(): the collector drains the deque and exits, and a
+    /// submit that finds it set collects its own response.
+    bool closed AABFT_GUARDED_BY(inflight_mu) = false;
 
     mutable core::Mutex e2e_mu{core::LockRank::kFleetTelemetry, "fleet.e2e"};
     LatencyRecorder fleet_e2e_ns AABFT_GUARDED_BY(e2e_mu);
 
-    std::thread feeder;
     std::thread collector;
 
     explicit Shard(HealthConfig health_config) : health(health_config) {}
   };
 
-  void feeder_loop(Shard& shard);
   void collector_loop(Shard& shard);
+  /// Wait for one admitted response, judge it (health, fence, replay when
+  /// the shard is fenced or the response failed) and fulfil the job.
+  void collect(Shard& shard, Inflight&& item);
   void fence(std::size_t shard);
-  /// Re-route a fenced shard's queued jobs to survivors (replaying inline
-  /// when no queue will take them).
-  void redistribute(Shard& from);
   /// Resolve a job's operands into a dispatchable request (parity
-  /// reconstruction when a holding shard is fenced). Errors surface as a
-  /// ready kFailed response.
+  /// reconstruction when a holding shard is fenced).
   [[nodiscard]] Result<serve::GemmRequest> resolve(const Job& job,
                                                    bool& reconstructed) const;
   /// resolve() plus the operand-cache fast path for the dispatch target: a
@@ -189,6 +190,16 @@ class FleetServer {
   /// serve cache evicted or invalidated the entry underneath us).
   void drop_cache_mapping(std::uint64_t fleet_handle, std::size_t shard)
       AABFT_EXCLUDES(cache_map_mu_);
+  /// resolve_for(), chaos faults armed for `shard`, and admission to its
+  /// server — resolved and submitted once more when the shard's serve cache
+  /// evicted the mapped A entry between resolution and admission.
+  [[nodiscard]] Result<std::future<serve::GemmResponse>> dispatch(
+      const Job& job, Shard& shard, bool& reconstructed,
+      std::size_t& chaos_armed);
+  /// Device-corruption chaos: append `shard`'s injected faults to the
+  /// request's fault plan. Returns how many were armed.
+  std::size_t arm_chaos(const Shard& shard, serve::GemmRequest& req)
+      AABFT_EXCLUDES(chaos_mu_);
   /// Run the job synchronously on the healthiest surviving shard (the replay
   /// path for fenced/failed responses). Fulfils nothing — returns the
   /// response for the caller to judge.
@@ -217,7 +228,6 @@ class FleetServer {
   /// Bumped by every fence: mappings validated at an older epoch re-check
   /// the operand store (which is where a reconstruction would surface).
   std::atomic<std::uint64_t> store_epoch_{1};
-  ShardQueues<Job> queues_;
   core::Mutex chaos_mu_{core::LockRank::kFleetChaos, "fleet.chaos"};
   Rng chaos_rng_ AABFT_GUARDED_BY(chaos_mu_);
   std::atomic<std::uint64_t> next_id_{1};

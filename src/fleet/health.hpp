@@ -28,8 +28,8 @@ struct HealthConfig {
   /// Observations before rates are trusted (a single early fault on a
   /// near-empty window would otherwise read as a 100% correction rate).
   std::uint64_t min_observations = 16;
-  /// Availability below this marks the device degraded (router deprioritises
-  /// it; work stealing pulls its queue down).
+  /// Availability below this marks the device degraded (the router
+  /// deprioritises it).
   double degrade_score = 0.75;
   /// EWMA correction rate above this fences the device outright.
   double fence_correction_rate = 0.5;

@@ -35,8 +35,8 @@ struct ShapeKeyHash {
 };
 
 struct ShardLoad {
-  std::size_t queued = 0;    ///< requests in the shard's fleet queue
-  std::size_t inflight = 0;  ///< dispatched, response not yet collected
+  std::size_t queued = 0;    ///< requests in the shard server's queue
+  std::size_t inflight = 0;  ///< admitted, response not yet collected
   double backlog_flops = 0;  ///< admission backlog on the shard's server
 };
 

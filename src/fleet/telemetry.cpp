@@ -37,7 +37,6 @@ std::string to_json(const FleetStats& stats) {
   out << "  \"fenced_devices\": " << stats.fenced_devices << ",\n";
   out << "  \"submitted\": " << stats.submitted << ",\n";
   out << "  \"rejected\": " << stats.rejected << ",\n";
-  out << "  \"steals\": " << stats.steals << ",\n";
   out << "  \"replays\": " << stats.replays << ",\n";
   out << "  \"reconstructions\": " << stats.reconstructions << ",\n";
   out << "  \"operand_dedups\": " << stats.operand_dedups << ",\n";
@@ -53,7 +52,6 @@ std::string to_json(const FleetStats& stats) {
     out << "      \"failure_rate\": " << s.failure_rate << ",\n";
     out << "      \"observations\": " << s.observations << ",\n";
     out << "      \"routed\": " << s.routed << ",\n";
-    out << "      \"stolen\": " << s.stolen << ",\n";
     out << "      \"replayed\": " << s.replayed << ",\n";
     out << "      \"queued\": " << s.queued << ",\n";
     out << "      \"inflight\": " << s.inflight << ",\n";

@@ -28,11 +28,10 @@ struct ShardStats {
   std::uint64_t observations = 0;
 
   // Fleet-layer placement and recovery counters for this shard.
-  std::uint64_t routed = 0;    ///< requests the router placed here
-  std::uint64_t stolen = 0;    ///< requests this shard stole from siblings
+  std::uint64_t routed = 0;    ///< requests admitted to this shard
   std::uint64_t replayed = 0;  ///< responses re-run elsewhere on its behalf
-  std::size_t queued = 0;      ///< fleet-queue depth at snapshot time
-  std::size_t inflight = 0;    ///< dispatched, not yet collected
+  std::size_t queued = 0;      ///< shard server's queue depth at snapshot
+  std::size_t inflight = 0;    ///< admitted, not yet collected (incl. queued)
 
   /// Submit -> fleet response latency for requests *collected* by this shard
   /// (includes any replay time).
@@ -45,7 +44,10 @@ struct FleetStats {
   /// merge).
   serve::ServerStats totals;
   std::uint64_t submitted = 0;  ///< fleet-level submissions
-  std::uint64_t rejected = 0;   ///< fleet-level refusals (routing/overload)
+  std::uint64_t rejected = 0;   ///< refused submits (fleet or shard admission)
+  /// Always 0: requests go straight to the routed shard's server and are
+  /// never moved between shards. Kept because the repository benchmark's
+  /// fleet workload reports it as `fleet.steal_frac`.
   std::uint64_t steals = 0;
   std::uint64_t replays = 0;
   std::uint64_t reconstructions = 0;  ///< parity rebuilds in the operand store

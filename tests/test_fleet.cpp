@@ -1,11 +1,12 @@
 // Fleet subsystem tests: erasure-coded operand store (bit-identical
 // single-shard reconstruction, double-fault refusal), shard router placement,
-// device-health EWMA fencing, work-stealing shard queues, and FleetServer
-// end-to-end — clean traffic, forced mid-run device failure with replay +
-// parity reconstruction and zero wrong responses, autonomous fencing of a
-// chaos-corrupted device, and shutdown with in-flight work losing nothing.
+// device-health EWMA fencing, and FleetServer end-to-end — clean traffic,
+// forced mid-run device failure with replay + parity reconstruction and zero
+// wrong responses, autonomous fencing of a chaos-corrupted device, shutdown
+// with in-flight work losing nothing, submits racing stop(), and refusals.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -18,7 +19,6 @@
 #include "fleet/health.hpp"
 #include "fleet/parity.hpp"
 #include "fleet/router.hpp"
-#include "fleet/steal.hpp"
 #include "linalg/matmul.hpp"
 #include "linalg/workload.hpp"
 
@@ -208,139 +208,6 @@ TEST(DeviceHealth, FailuresWeighHeavierThanCorrections) {
   EXPECT_LT(health.availability(), corrections_only.availability());
 }
 
-// ---- ShardQueues -----------------------------------------------------------
-
-TEST(ShardQueues, OwnQueueIsFifoAndStealTakesDeepestSiblingTail) {
-  ShardQueues<int> queues(3, 16);
-  ASSERT_TRUE(queues.try_push(0, 10));
-  ASSERT_TRUE(queues.try_push(0, 11));
-  ASSERT_TRUE(queues.try_push(1, 20));
-  ASSERT_TRUE(queues.try_push(1, 21));
-  ASSERT_TRUE(queues.try_push(1, 22));
-
-  const auto ms = std::chrono::microseconds(1000);
-  auto own = queues.pop(0, ms);
-  ASSERT_TRUE(own.has_value());
-  EXPECT_EQ(own->item, 10);  // FIFO from the owner's front
-  EXPECT_FALSE(own->stolen);
-
-  // Shard 2 is empty: it steals from the deepest sibling (1), from the tail.
-  auto stolen = queues.pop(2, ms);
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_EQ(stolen->item, 22);
-  EXPECT_TRUE(stolen->stolen);
-  EXPECT_EQ(queues.steals(), 1u);
-
-  // allow_steal = false starves instead.
-  EXPECT_FALSE(queues.pop(2, std::chrono::microseconds(100), false));
-}
-
-TEST(ShardQueues, CapacityDrainAndCloseSemantics) {
-  ShardQueues<int> queues(3, 2);
-  ASSERT_TRUE(queues.try_push(0, 1));
-  ASSERT_TRUE(queues.try_push(0, 2));
-  EXPECT_FALSE(queues.try_push(0, 3)) << "per-shard bound enforced";
-  ASSERT_TRUE(queues.try_push(1, 4));
-
-  auto drained = queues.drain_shard(0);
-  EXPECT_EQ(drained, (std::vector<int>{1, 2}));
-  EXPECT_EQ(queues.depth(0), 0u);
-  EXPECT_EQ(queues.total_depth(), 1u);
-
-  queues.close();
-  EXPECT_FALSE(queues.try_push(0, 5)) << "closed queues refuse pushes";
-  auto last = queues.pop(1, std::chrono::microseconds(1000));
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->item, 4);  // drains after close
-  EXPECT_FALSE(queues.pop(1, std::chrono::microseconds(1000)));
-}
-
-// Spins until a caller is blocked in pop(`shard`).
-void await_parked(const ShardQueues<int>& queues, std::size_t shard) {
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!queues.parked(shard)) {
-    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
-        << "shard " << shard << " never parked in pop()";
-    std::this_thread::yield();
-  }
-}
-
-TEST(ShardQueues, ParkedOwnersQueueIsNotStolen) {
-  ShardQueues<int> queues(3, 16);
-  auto owner = std::async(std::launch::async, [&] {
-    return queues.pop(0, std::chrono::seconds(10));
-  });
-  await_parked(queues, 0);
-  ASSERT_TRUE(queues.try_push(0, 7));
-  ASSERT_TRUE(queues.try_push(2, 9));
-
-  // Shard 0's queue is as deep as shard 2's, but its owner is parked (the
-  // push woke it; it takes the job itself), so the idle shard 1 steals from
-  // shard 2, whose owner is busy elsewhere.
-  auto sibling = queues.pop(1, std::chrono::microseconds(0));
-  ASSERT_TRUE(sibling.has_value());
-  EXPECT_EQ(sibling->item, 9);
-  EXPECT_TRUE(sibling->stolen);
-
-  auto own = owner.get();
-  ASSERT_TRUE(own.has_value());
-  EXPECT_EQ(own->item, 7);
-  EXPECT_FALSE(own->stolen);
-  EXPECT_EQ(queues.steals(), 1u);
-}
-
-TEST(ShardQueues, OwnerTakingOneJobOfABurstWakesParkedSiblings) {
-  ShardQueues<int> queues(2, 16);
-  const auto long_wait = std::chrono::seconds(20);
-  auto sibling = std::async(std::launch::async, [&] {
-    const auto start = std::chrono::steady_clock::now();
-    auto popped = queues.pop(1, long_wait);
-    return std::make_pair(std::move(popped),
-                          std::chrono::steady_clock::now() - start);
-  });
-  auto owner =
-      std::async(std::launch::async, [&] { return queues.pop(0, long_wait); });
-  await_parked(queues, 1);
-  await_parked(queues, 0);
-  for (int job = 1; job <= 3; ++job) ASSERT_TRUE(queues.try_push(0, int{job}));
-
-  auto own = owner.get();
-  ASSERT_TRUE(own.has_value());
-  EXPECT_EQ(own->item, 1);
-  EXPECT_FALSE(own->stolen);
-
-  // Once the owner is busy with job 1, the parked sibling steals from the
-  // tail of what is left, woken at once rather than at its pop timeout.
-  auto [stolen, waited] = sibling.get();
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_TRUE(stolen->stolen);
-  EXPECT_TRUE(stolen->item == 2 || stolen->item == 3) << stolen->item;
-  EXPECT_LT(waited, long_wait / 4);
-  EXPECT_EQ(queues.depth(0), 1u);
-}
-
-TEST(ShardQueues, ParkedSiblingStealsFromBusyOwner) {
-  ShardQueues<int> queues(2, 16);
-  const auto long_wait = std::chrono::seconds(20);
-  auto sibling = std::async(std::launch::async, [&] {
-    const auto start = std::chrono::steady_clock::now();
-    auto popped = queues.pop(1, long_wait);
-    return std::make_pair(std::move(popped),
-                          std::chrono::steady_clock::now() - start);
-  });
-  await_parked(queues, 1);
-  // Shard 0's owner is not in pop() (busy serving): its job is fair game.
-  ASSERT_TRUE(queues.try_push(0, 5));
-
-  auto [stolen, waited] = sibling.get();
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_EQ(stolen->item, 5);
-  EXPECT_TRUE(stolen->stolen);
-  EXPECT_LT(waited, long_wait / 4);
-  EXPECT_EQ(queues.depth(0), 0u);
-}
-
 // ---- FleetServer end-to-end ------------------------------------------------
 
 FleetConfig small_fleet_config() {
@@ -501,9 +368,7 @@ TEST(FleetServer, ShutdownWithInflightWorkLosesNoRequests) {
   const Matrix b = uniform_matrix(48, 48, -1.0, 1.0, rng);
   const Matrix ref = naive_matmul(a, b, false);
 
-  FleetConfig config = small_fleet_config();
-  config.inflight_window = 2;  // force queueing (and therefore stealing)
-  FleetServer fleet(config);
+  FleetServer fleet(small_fleet_config());
 
   constexpr std::size_t kRequests = 32;
   std::vector<std::future<FleetResponse>> futures;
@@ -514,8 +379,8 @@ TEST(FleetServer, ShutdownWithInflightWorkLosesNoRequests) {
     ASSERT_TRUE(submitted.ok()) << submitted.error().message;
     futures.push_back(std::move(*submitted));
   }
-  // Immediate shutdown: queued and in-flight (possibly stolen) work must all
-  // still resolve — drain semantics, not abandonment.
+  // Immediate shutdown: queued and in-flight work must all still resolve —
+  // drain semantics, not abandonment.
   fleet.stop();
   std::size_t completed = 0;
   for (auto& fut : futures) {
@@ -594,6 +459,77 @@ TEST(FleetServer, ShardLossInvalidatesServeCacheEntries) {
       << "a reconstructed operand must invalidate surviving shards' cached "
          "encodes before re-registering";
   EXPECT_EQ(stats.totals.failed, 0u);
+}
+
+// Client threads keep submitting while stop() runs, with the stop landing at
+// a different point of the traffic each round (after 0, 6, 12, ... of the
+// 120 submits): every submit is either refused or answered, and every answer
+// is ready, clean and bit-identical once stop() has returned.
+TEST(FleetServer, SubmitRacingStopIsAnsweredOrRefused) {
+  Rng rng(107);
+  const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  const Matrix ref = naive_matmul(a, b, false);
+
+  constexpr int kRounds = 20;
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 40;
+  for (int round = 0; round < kRounds; ++round) {
+    FleetServer fleet(small_fleet_config());
+    std::atomic<int> sent{0};
+    std::vector<std::vector<std::future<FleetResponse>>> accepted(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < kPerClient; ++i) {
+          FleetRequest req;
+          req.request = gemm_request(a, b);
+          auto submitted = fleet.submit(std::move(req));
+          sent.fetch_add(1);
+          if (submitted.ok()) {
+            accepted[c].push_back(std::move(*submitted));
+          } else {
+            // The fleet, or the routed shard's server, is stopping.
+            const ErrorCode code = submitted.error().code;
+            EXPECT_TRUE(code == ErrorCode::kUnavailable ||
+                        code == ErrorCode::kOverloaded)
+                << submitted.error().message;
+          }
+        }
+      });
+    const int stop_after = round * kClients * kPerClient / kRounds;
+    while (sent.load() < stop_after) std::this_thread::yield();
+    fleet.stop();
+    for (auto& client : clients) client.join();
+
+    std::size_t answered = 0;
+    for (auto& futures : accepted)
+      for (auto& fut : futures) {
+        ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready)
+            << "round " << round << ": an accepted submit has no answer";
+        FleetResponse resp = fut.get();
+        EXPECT_EQ(resp.response.status, serve::ResponseStatus::kOk)
+            << resp.response.diagnosis;
+        EXPECT_EQ(resp.response.c, ref);
+        ++answered;
+      }
+    EXPECT_EQ(fleet.stats().totals.completed, answered) << "round " << round;
+  }
+}
+
+TEST(FleetServer, ShapeMismatchIsRefusedAtSubmit) {
+  Rng rng(109);
+  FleetServer fleet(small_fleet_config());
+  FleetRequest req;
+  req.request.kind = aabft::baselines::OpKind::kGemm;
+  req.a_handle = fleet.register_operand(uniform_matrix(16, 24, -1.0, 1.0, rng));
+  req.request.b = uniform_matrix(16, 8, -1.0, 1.0, rng);  // needs 24 rows
+  auto refused = fleet.submit(std::move(req));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, ErrorCode::kShapeMismatch);
+  EXPECT_EQ(fleet.stats().rejected, 1u);
+  fleet.stop();
 }
 
 TEST(FleetServer, RefusalsAreValues) {

@@ -2,9 +2,9 @@
 // two-mutex rank inversion must abort with LockOrderError naming both locks;
 // recursive acquisition is an inversion too; try_lock and RAII guards must
 // keep the per-thread held stack balanced on every path; and one real
-// FleetServer soak iteration — feeders, collectors, a forced device failure
-// with replay — must complete without a single ordering violation, ending
-// every thread's held stack at zero.
+// FleetServer soak iteration — submits straight to the shard servers,
+// collectors, a forced device failure with replay — must complete without a
+// single ordering violation, ending every thread's held stack at zero.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -126,15 +126,15 @@ TEST(LockRank, UniqueLockManualUnlockRelock) {
 
 // ---- clean ordering over a real fleet soak iteration -----------------------
 
-// One full FleetServer lifecycle under the always-on validator: concurrent
-// submissions, work stealing, a forced mid-run device failure (replay +
-// operand reconstruction), stop() with its cross-subsystem lock nesting
-// (fleet stop -> shard-queue close -> serve stop -> pause -> queue). Any
-// rank inversion anywhere in that machinery throws LockOrderError: out of a
-// worker thread, which aborts the test, or out of a scheme call, which the
-// server's recovery ladder takes as a failed rung, so every response must
-// come from the first pass (rung kNone). A clean run ends with this thread
-// holding nothing.
+// One full FleetServer lifecycle under the always-on validator: submissions
+// resolved and admitted on the caller's thread, a forced mid-run device
+// failure (replay + operand reconstruction), stop() with its cross-subsystem
+// lock nesting (fleet stop -> collector close -> serve stop -> pause ->
+// queue). Any rank inversion anywhere in that machinery throws
+// LockOrderError: out of a worker thread, which aborts the test, or out of a
+// scheme call, which the server's recovery ladder takes as a failed rung, so
+// every response must come from the first pass (rung kNone). A clean run
+// ends with this thread holding nothing.
 TEST(LockRank, FleetSoakIterationHasCleanOrdering) {
   Rng rng(29);
   const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);

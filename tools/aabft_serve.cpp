@@ -579,12 +579,11 @@ int main() {
       for (const auto& shard : stats.shards) e2e.merge(shard.fleet_e2e_ns);
       const double p99_ms = static_cast<double>(e2e.p99()) / 1e6;
       std::printf("  %-9s: %zu/%zu ok, p99 %.3f ms (queue wait p50 %.3f ms, "
-                  "p99 %.3f ms), %llu steals, %llu replays, %llu "
-                  "reconstructions, %zu fenced\n",
+                  "p99 %.3f ms), %llu replays, %llu reconstructions, "
+                  "%zu fenced\n",
                   label, completed, fleet_requests, p99_ms,
                   stats.totals.queue_wait_ns.p50() / 1e6,
                   stats.totals.queue_wait_ns.p99() / 1e6,
-                  static_cast<unsigned long long>(stats.steals),
                   static_cast<unsigned long long>(stats.replays),
                   static_cast<unsigned long long>(stats.reconstructions),
                   stats.fenced_devices);
