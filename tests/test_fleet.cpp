@@ -1,9 +1,11 @@
 // Fleet subsystem tests: erasure-coded operand store (bit-identical
 // single-shard reconstruction, double-fault refusal), shard router placement,
 // device-health EWMA fencing, and FleetServer end-to-end — clean traffic,
-// forced mid-run device failure with replay + parity reconstruction and zero
-// wrong responses, autonomous fencing of a chaos-corrupted device, shutdown
-// with in-flight work losing nothing, submits racing stop(), and refusals.
+// requests running on the shard they were routed to, forced mid-run device
+// failure with replay + parity reconstruction and zero wrong responses,
+// autonomous fencing of a chaos-corrupted device with its admitted work
+// replayed, shutdown with in-flight work losing nothing, submits racing
+// stop(), and refusals (shape, unrecoverable operand, full shard queue).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -262,6 +264,71 @@ TEST(FleetServer, CleanTrafficSpreadsAndCompletes) {
   EXPECT_NE(json.find("\"fleet_e2e_ns\""), std::string::npos);
 }
 
+// A request runs on the shard it was routed to: submit admits it straight to
+// that shard's server and nothing moves it afterwards, so with clean traffic
+// from several clients each shard's server admits and completes exactly the
+// requests routed there, and each answer names that shard.
+TEST(FleetServer, RequestsRunOnTheShardTheyWereRoutedTo) {
+  Rng rng(113);
+  constexpr std::size_t kWeights = 3;
+  const Matrix b = uniform_matrix(32, 16, -1.0, 1.0, rng);
+  std::vector<Matrix> refs;
+  FleetServer fleet(small_fleet_config());
+  std::vector<std::uint64_t> handles;
+  for (std::size_t w = 0; w < kWeights; ++w) {
+    const Matrix a = uniform_matrix(48, 32, -1.0, 1.0, rng);
+    refs.push_back(naive_matmul(a, b, false));
+    handles.push_back(fleet.register_operand(a));
+  }
+
+  constexpr std::size_t kClients = 3;
+  constexpr std::size_t kPerClient = 16;
+  using Accepted = std::pair<std::size_t, std::future<FleetResponse>>;
+  std::vector<std::vector<Accepted>> accepted(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        const std::size_t w = (c + i) % kWeights;
+        FleetRequest req;
+        req.request.kind = aabft::baselines::OpKind::kGemm;
+        req.request.b = b;
+        req.a_handle = handles[w];
+        auto submitted = fleet.submit(std::move(req));
+        EXPECT_TRUE(submitted.ok()) << submitted.error().message;
+        if (submitted.ok()) accepted[c].emplace_back(w, std::move(*submitted));
+      }
+    });
+  for (auto& client : clients) client.join();
+
+  std::vector<std::uint64_t> answered_by(fleet.devices(), 0);
+  for (auto& futures : accepted)
+    for (auto& [w, fut] : futures) {
+      FleetResponse resp = fut.get();
+      ASSERT_EQ(resp.response.status, serve::ResponseStatus::kOk)
+          << resp.response.diagnosis;
+      EXPECT_EQ(resp.response.c, refs[w]);
+      EXPECT_EQ(resp.replays, 0u);
+      ASSERT_LT(resp.shard, fleet.devices());
+      ++answered_by[resp.shard];
+    }
+  fleet.stop();
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.totals.completed, kClients * kPerClient);
+  EXPECT_EQ(stats.steals, 0u);
+  EXPECT_EQ(stats.replays, 0u);
+  for (const auto& shard : stats.shards) {
+    EXPECT_EQ(shard.server.admitted, shard.routed) << "shard " << shard.shard;
+    EXPECT_EQ(shard.server.completed, shard.routed) << "shard " << shard.shard;
+    EXPECT_EQ(answered_by[shard.shard], shard.routed)
+        << "shard " << shard.shard;
+    EXPECT_EQ(shard.queued, 0u);
+    EXPECT_EQ(shard.inflight, 0u);
+  }
+  EXPECT_EQ(fleet.telemetry_json().find("\"stolen\""), std::string::npos);
+}
+
 TEST(FleetServer, ForceFailedDeviceReplaysAndReconstructsOperands) {
   Rng rng(89);
   const Matrix a = uniform_matrix(48, 48, -1.0, 1.0, rng);
@@ -360,6 +427,95 @@ TEST(FleetServer, AutonomouslyFencesChaosCorruptedDevice) {
   EXPECT_EQ(stats.fenced_devices, 1u);
   EXPECT_GT(stats.totals.corrected, 0u);
   EXPECT_EQ(stats.totals.failed, 0u);
+}
+
+// Trust is decided when a response is collected. Device 0 takes a chaos
+// fault on every request and one bad observation fences it, so the first
+// response collected there fences the device. That request, and every other
+// one already admitted to device 0, still runs there, and each is answered
+// by a replay on a survivor instead.
+TEST(FleetServer, FencedShardsAdmittedWorkIsReplayedOnSurvivors) {
+  Rng rng(127);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix ref = naive_matmul(a, b, false);
+
+  FleetConfig config = small_fleet_config();
+  config.health.alpha = 1.0;
+  config.health.min_observations = 1;
+  FleetServer fleet(config);
+  fleet.inject_device_faults(0, 1);
+
+  constexpr std::size_t kRequests = 12;
+  std::vector<std::future<FleetResponse>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    FleetRequest req;
+    req.request = gemm_request(a, b);
+    auto submitted = fleet.submit(std::move(req));
+    ASSERT_TRUE(submitted.ok()) << submitted.error().message;
+    futures.push_back(std::move(*submitted));
+  }
+  for (auto& fut : futures) {
+    FleetResponse resp = fut.get();
+    ASSERT_EQ(resp.response.status, serve::ResponseStatus::kOk)
+        << resp.response.diagnosis;
+    EXPECT_EQ(resp.response.c, ref) << "replays run on clean survivors";
+    EXPECT_NE(resp.shard, 0u) << "no answer comes from the fenced device";
+  }
+  fleet.stop();
+
+  EXPECT_TRUE(fleet.fenced(0));
+  const FleetStats stats = fleet.stats();
+  const ShardStats& sick = stats.shards[0];
+  // The first submit lands on device 0: every shard is idle and the router
+  // breaks ties towards the lowest index.
+  EXPECT_GE(sick.routed, 1u);
+  EXPECT_EQ(sick.server.completed + sick.server.failed, sick.routed)
+      << "admitted work still runs on the fenced device";
+  EXPECT_EQ(sick.replayed, sick.routed);
+  EXPECT_EQ(stats.replays, sick.routed);
+  EXPECT_EQ(stats.totals.completed + stats.totals.failed,
+            kRequests + sick.routed);
+}
+
+// Injected chaos belongs to the device, whichever path brings work there: a
+// replay dispatched to a chaos-injected device takes its faults like a
+// routed request does.
+TEST(FleetServer, ReplayOntoAChaosDeviceTakesItsFaults) {
+  Rng rng(131);
+  const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  const Matrix ref = naive_matmul(a, b, false);
+
+  FleetConfig config = small_fleet_config();
+  config.health.alpha = 1.0;
+  config.health.min_observations = 1;
+  FleetServer fleet(config);
+  fleet.force_fail(2);
+  // Device 0 fences on its first collected response; device 1, the only
+  // survivor left for the replay, corrupts whatever runs on it.
+  fleet.inject_device_faults(0, 1);
+  fleet.inject_device_faults(1, 1);
+
+  FleetRequest req;
+  req.request = gemm_request(a, b);
+  auto submitted = fleet.submit(std::move(req));
+  ASSERT_TRUE(submitted.ok()) << submitted.error().message;
+  FleetResponse resp = submitted->get();
+  fleet.stop();
+
+  ASSERT_EQ(resp.response.status, serve::ResponseStatus::kOk)
+      << resp.response.diagnosis;
+  EXPECT_EQ(resp.shard, 1u);
+  EXPECT_EQ(resp.replays, 1u);
+  EXPECT_TRUE(resp.response.trace.corrected)
+      << "the replay ran with device 1's fault armed";
+  expect_close(resp.response.c, ref, resp.response.trace.corrections + 1);
+  const FleetStats stats = fleet.stats();
+  EXPECT_TRUE(fleet.fenced(0));
+  EXPECT_EQ(stats.shards[0].server.faults_armed, 1u);
+  EXPECT_EQ(stats.shards[1].server.faults_armed, 1u);
+  EXPECT_EQ(stats.shards[1].routed, 0u) << "device 1 saw only the replay";
 }
 
 TEST(FleetServer, ShutdownWithInflightWorkLosesNoRequests) {
@@ -530,6 +686,83 @@ TEST(FleetServer, ShapeMismatchIsRefusedAtSubmit) {
   EXPECT_EQ(refused.error().code, ErrorCode::kShapeMismatch);
   EXPECT_EQ(fleet.stats().rejected, 1u);
   fleet.stop();
+}
+
+// An operand that lost two stripes cannot be resolved for any shard: submit
+// refuses it with kUnavailable instead of accepting a request that can only
+// fail.
+TEST(FleetServer, UnrecoverableOperandIsRefusedAtSubmit) {
+  Rng rng(137);
+  FleetServer fleet(small_fleet_config());
+  FleetRequest req;
+  req.request.kind = aabft::baselines::OpKind::kGemm;
+  req.a_handle = fleet.register_operand(uniform_matrix(16, 16, -1.0, 1.0, rng));
+  req.b_handle = fleet.register_operand(uniform_matrix(16, 16, -1.0, 1.0, rng));
+  fleet.force_fail(0);
+  fleet.force_fail(1);  // device 2 is alive, but every operand lost 2 of 3
+  auto refused = fleet.submit(std::move(req));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, ErrorCode::kUnavailable);
+  fleet.stop();
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.totals.admitted, 0u);
+  EXPECT_EQ(stats.totals.failed, 0u);
+}
+
+// The shard servers' bounded queues are the fleet's only queues. With
+// one-deep queues, one worker and one-request batches per shard, a burst of
+// GEMMs that each run far longer than a submit soon finds every shard busy
+// with one request and holding another, and the routed shard's server
+// refuses the next submit with kOverloaded. Every accepted submit is still
+// answered, and once the backlog drains the fleet accepts work again.
+TEST(FleetServer, FullShardQueueIsRefusedOverloaded) {
+  Rng rng(139);
+  const Matrix a = uniform_matrix(128, 128, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(128, 128, -1.0, 1.0, rng);
+  const Matrix ref = naive_matmul(a, b, false);
+
+  FleetConfig config = small_fleet_config();
+  config.workers_per_device = 1;
+  config.serve.admission.queue_capacity = 1;
+  config.serve.batch.max_batch = 1;
+  FleetServer fleet(config);
+
+  std::vector<std::future<FleetResponse>> accepted;
+  std::size_t overloaded = 0;
+  // Six submits fill the fleet; the bound only keeps a stalled loop finite.
+  for (int i = 0; i < 200 && overloaded == 0; ++i) {
+    FleetRequest req;
+    req.request = gemm_request(a, b);
+    auto submitted = fleet.submit(std::move(req));
+    if (submitted.ok()) {
+      accepted.push_back(std::move(*submitted));
+      continue;
+    }
+    EXPECT_EQ(submitted.error().code, ErrorCode::kOverloaded)
+        << submitted.error().message;
+    ++overloaded;
+  }
+  ASSERT_EQ(overloaded, 1u);
+  for (auto& fut : accepted) {
+    FleetResponse resp = fut.get();
+    EXPECT_EQ(resp.response.status, serve::ResponseStatus::kOk)
+        << resp.response.diagnosis;
+    EXPECT_EQ(resp.response.c, ref);
+  }
+
+  // Every accepted request has been answered, so every shard queue is empty.
+  FleetRequest req;
+  req.request = gemm_request(a, b);
+  auto again = fleet.submit(std::move(req));
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(again->get().response.c, ref);
+  fleet.stop();
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.totals.rejected_queue_full, 1u);
+  EXPECT_EQ(stats.totals.completed, accepted.size() + 1);
 }
 
 TEST(FleetServer, RefusalsAreValues) {
