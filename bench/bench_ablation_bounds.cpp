@@ -15,10 +15,8 @@
 // (superaccumulator) rounding error, and clean-run false positives.
 #include <iostream>
 
-#include "abft/aabft.hpp"
 #include "abft/checker.hpp"
 #include "abft/encoder.hpp"
-#include "abft/weighted.hpp"
 #include "baselines/diverse_tmr.hpp"
 #include "bench/bench_common.hpp"
 #include "core/rng.hpp"
@@ -173,70 +171,6 @@ int main() {
     std::cout << "\n-- diverse-kernel TMR (extension): probabilistic "
                  "agreement bounds across three\n   genuinely different "
                  "kernels; tighter omega risks clean-run disagreement --\n";
-    table.print();
-  }
-
-  {
-    // Plain (A-ABFT) vs weighted (Jou/Abraham) checksums: encode cost and
-    // correction capability under one injected fault.
-    TablePrinter table({"codec", "encode flops+cmps", "clean FP",
-                        "detected", "corrected", "recheck clean"});
-    Rng rng(0xab6);
-    const auto a = linalg::uniform_matrix(n, n, -1.0, 1.0, rng);
-    const auto b = linalg::uniform_matrix(n, n, -1.0, 1.0, rng);
-    gpusim::FaultConfig fault;
-    fault.site = gpusim::FaultSite::kInnerAdd;
-    fault.sm_id = 2;
-    fault.module_id = 3;
-    fault.k_injection = 5;
-    fault.error_vec = 1ULL << 61;
-
-    auto encode_ops = [](const gpusim::Launcher& launcher) {
-      std::uint64_t ops = 0;
-      for (const auto& entry : launcher.launch_log())
-        if (entry.kernel_name.starts_with("encode"))
-          ops += entry.counters.flops() + entry.counters.compares;
-      return ops;
-    };
-
-    {
-      gpusim::Launcher launcher;
-      abft::AabftConfig config;
-      config.bs = bs;
-      abft::AabftMultiplier mult(launcher, config);
-      const auto clean = mult.multiply(a, b).value();
-      const std::uint64_t ops = encode_ops(launcher);
-      gpusim::FaultController controller;
-      launcher.set_fault_controller(&controller);
-      controller.arm(fault);
-      const auto faulty = mult.multiply(a, b).value();
-      launcher.set_fault_controller(nullptr);
-      table.add_row({"plain (row+col)", std::to_string(ops),
-                     clean.error_detected() ? "yes" : "no",
-                     faulty.error_detected() ? "yes" : "no",
-                     std::to_string(faulty.corrections.size()),
-                     faulty.recheck_clean ? "yes" : "no"});
-    }
-    {
-      gpusim::Launcher launcher;
-      abft::WeightedAabftConfig config;
-      config.bs = bs;
-      abft::WeightedAabftMultiplier mult(launcher, config);
-      const auto clean = mult.multiply(a, b);
-      const std::uint64_t ops = encode_ops(launcher);
-      gpusim::FaultController controller;
-      launcher.set_fault_controller(&controller);
-      controller.arm(fault);
-      const auto faulty = mult.multiply(a, b);
-      launcher.set_fault_controller(nullptr);
-      table.add_row({"weighted (col only)", std::to_string(ops),
-                     clean.error_detected() ? "yes" : "no",
-                     faulty.error_detected() ? "yes" : "no",
-                     std::to_string(faulty.corrected),
-                     faulty.recheck_clean ? "yes" : "no"});
-    }
-    std::cout << "\n-- checksum codec (extension): weighted checksums "
-                 "localise from column checks alone --\n";
     table.print();
   }
 

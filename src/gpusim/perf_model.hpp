@@ -66,9 +66,8 @@ struct EfficiencyProfile {
 }
 
 /// Cost class of a kernel, chosen by its launch name. Table I's pricing
-/// (baselines::price_launch_log), its size projection
-/// (baselines::project_log) and the per-kernel profile report all classify
-/// through classify_kernel.
+/// (baselines::price_launch_log) and its size projection
+/// (baselines::project_log) both classify through classify_kernel.
 enum class KernelClass : std::uint8_t {
   kGemm,           ///< gemm*: the O(n^3) product (classic, fused, pairwise)
   kPmaxReduction,  ///< reduce_pmax*: runs in parallel to the GEMM (V-A)

@@ -195,19 +195,6 @@ TEST(EdgeCases, ChecksumEpsilonAtZeroBoundIsZero) {
   EXPECT_EQ(abft::checksum_epsilon(128, 16, 0.0, 0.0, params), 0.0);
 }
 
-TEST(EdgeCases, WeightedMinimumBlockSize) {
-  Rng rng(7);
-  const auto a = linalg::uniform_matrix(4, 4, -1.0, 1.0, rng);
-  const auto b = linalg::uniform_matrix(4, 4, -1.0, 1.0, rng);
-  gpusim::Launcher launcher;
-  abft::WeightedAabftConfig config;
-  config.bs = 2;
-  abft::WeightedAabftMultiplier mult(launcher, config);
-  const auto result = mult.multiply(a, b);
-  EXPECT_FALSE(result.error_detected());
-  EXPECT_EQ(result.c, linalg::naive_matmul(a, b, false));
-}
-
 TEST(EdgeCases, RoundToSingleIsIdempotent) {
   Rng rng(8);
   auto m = linalg::uniform_matrix(8, 8, -1e10, 1e10, rng);

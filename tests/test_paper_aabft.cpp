@@ -3,11 +3,13 @@
 // the materialised A_cc / B_rc, the block-based product over them
 // (Algorithm 3), then the check and recovery ladder the library shares
 // (abft::settle). The library multiplier runs the fused pipeline; these
-// tests pin the paper's path on its own: clean runs are exact, injected
-// faults are detected and repaired rung by rung, misuse is an error value,
-// the contender is GEMM-only, and its checker flags a corrupted product.
+// tests pin the paper's path on its own: clean runs are exact and launch the
+// paper's six kernels in order, injected faults are detected and repaired
+// rung by rung, misuse is an error value, the contender is GEMM-only, and its
+// checker flags a corrupted product.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "abft/aabft.hpp"
@@ -96,6 +98,14 @@ TEST(PaperAabft, CleanRunIsExactAndUnflagged) {
   EXPECT_EQ(result.c, naive_matmul(a, b, false));
   EXPECT_EQ(result.c_fc.rows(), 64u + 64u / 16u);
   EXPECT_EQ(result.c_fc.cols(), 32u + 32u / 16u);
+  // The paper's kernels in order: Algorithm 1 on A and on B, each followed
+  // by its global p-max reduction, the blocked product and the check.
+  std::vector<std::string> names;
+  for (const auto& entry : launcher.launch_log())
+    names.push_back(entry.kernel_name);
+  const std::vector<std::string> expected = {
+      "encode_a", "reduce_pmax_a", "encode_b", "reduce_pmax_b", "gemm", "check"};
+  EXPECT_EQ(names, expected);
 }
 
 TEST(PaperAabft, CorrectsLargeInnerProductFault) {
