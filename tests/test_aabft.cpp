@@ -1,10 +1,14 @@
 // Integration tests for the A-ABFT protected multiplication: clean runs stay
 // clean (no false positives), injected critical faults are detected,
-// localised and corrected.
+// localised and corrected, and each repair rung launches exactly the kernels
+// it needs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "abft/aabft.hpp"
 #include "core/rng.hpp"
@@ -35,6 +39,18 @@ AabftConfig small_config(std::size_t bs = 16) {
   config.p = 2;
   return config;
 }
+
+std::vector<std::string> kernel_names(const Launcher& launcher) {
+  std::vector<std::string> names;
+  for (const auto& entry : launcher.launch_log())
+    names.push_back(entry.kernel_name);
+  return names;
+}
+
+/// The library pipeline of a clean multiply: two light encodes, the fused
+/// product (which replays a faulty tile internally) and the check.
+const std::vector<std::string> kCleanKernels = {
+    "encode_a_light", "encode_b_light", "gemm_fused", "check"};
 
 TEST(Aabft, CleanRunProducesCorrectResultAndNoMismatch) {
   Rng rng(21);
@@ -68,6 +84,17 @@ struct CleanCase {
   bool fma;
   BoundPolicy policy;
 };
+
+// Printed into each case's ctest name; gtest's default byte dump of the
+// struct would include its padding, which differs from build to build.
+void PrintTo(const CleanCase& c, std::ostream* os) {
+  *os << "(n=" << c.n << ", bs=" << c.bs << ", p=" << c.p << ", "
+      << aabft::linalg::to_string(c.input) << ", "
+      << (c.fma ? "fma" : "mul+add") << ", "
+      << (c.policy == BoundPolicy::kPaperDirect ? "paper-direct"
+                                                : "compositional")
+      << ")";
+}
 
 class AabftCleanSweep : public ::testing::TestWithParam<CleanCase> {};
 
@@ -105,16 +132,38 @@ INSTANTIATE_TEST_SUITE_P(
         CleanCase{64, 16, 2, InputClass::kUnit, false, BoundPolicy::kCompositional},
         CleanCase{128, 32, 2, InputClass::kDynamic, true, BoundPolicy::kCompositional},
         CleanCase{96, 32, 2, InputClass::kUnit, false, BoundPolicy::kPaperDirect},
-        CleanCase{160, 32, 3, InputClass::kDynamic, false, BoundPolicy::kPaperDirect}));
+        CleanCase{160, 32, 3, InputClass::kDynamic, false, BoundPolicy::kPaperDirect},
+        CleanCase{64, 32, 2, InputClass::kHundred, false, BoundPolicy::kPaperDirect},
+        CleanCase{96, 32, 1, InputClass::kUnit, false, BoundPolicy::kPaperDirect},
+        CleanCase{64, 16, 4, InputClass::kDynamic, false, BoundPolicy::kPaperDirect},
+        CleanCase{128, 32, 2, InputClass::kDynamic, true, BoundPolicy::kPaperDirect}));
+
+// A wider dynamic range than the sweep's (kappa = 16 instead of 2): the
+// bounds still absorb the rounding noise, and the data are exact.
+TEST(Aabft, CleanRunWideRangeAndDynamic) {
+  Rng rng(5);
+  Launcher launcher;
+  AabftMultiplier mult(launcher, small_config());
+  for (const auto input : {InputClass::kHundred, InputClass::kDynamic}) {
+    const Matrix a = make_input(input, 64, 16.0, rng);
+    const Matrix b = make_input(input, 64, 16.0, rng);
+    const auto result = mult.multiply(a, b).value();
+    EXPECT_FALSE(result.error_detected()) << aabft::linalg::to_string(input);
+    EXPECT_EQ(result.c, naive_matmul(a, b, false))
+        << aabft::linalg::to_string(input);
+  }
+}
 
 struct FaultedRun {
   AabftResult result;
   bool fired = false;
 };
 
-/// One large exponent corruption of an inner-loop multiply.
-FaultedRun multiply_with_large_fault(const Matrix& a, const Matrix& b,
-                                     const AabftConfig& config) {
+/// One large exponent corruption of an inner-loop multiply. `kernels`, if
+/// given, receives the run's launch log in order.
+FaultedRun multiply_with_large_fault(
+    const Matrix& a, const Matrix& b, const AabftConfig& config,
+    std::vector<std::string>* kernels = nullptr) {
   Launcher launcher;
   FaultController controller;
   launcher.set_fault_controller(&controller);
@@ -130,6 +179,7 @@ FaultedRun multiply_with_large_fault(const Matrix& a, const Matrix& b,
   FaultedRun run{mult.multiply(a, b).value()};
   launcher.set_fault_controller(nullptr);
   run.fired = controller.fired();
+  if (kernels != nullptr) *kernels = kernel_names(launcher);
   return run;
 }
 
@@ -238,6 +288,100 @@ TEST(Aabft, DetectionOnlyModeReportsUncorrectable) {
   EXPECT_TRUE(result.error_detected());
   EXPECT_TRUE(result.uncorrectable);
   EXPECT_TRUE(result.corrections.empty());
+}
+
+// The repair rungs' launch logs: what each rung costs on top of the clean
+// pipeline.
+
+TEST(Aabft, CorrectionRungLaunchesOneRecheck) {
+  Rng rng(31);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  AabftConfig config = small_config();
+  config.fused.max_panel_recomputes = 0;
+  std::vector<std::string> kernels;
+  const auto [result, fired] =
+      multiply_with_large_fault(a, b, config, &kernels);
+
+  ASSERT_TRUE(fired);
+  ASSERT_EQ(result.corrections.size(), 1u);
+  // The patch is verified by one more check; nothing is recomputed.
+  std::vector<std::string> expected = kCleanKernels;
+  expected.push_back("check");
+  EXPECT_EQ(kernels, expected);
+}
+
+TEST(Aabft, PanelReplayLaunchesNoKernelBeyondTheCleanRun) {
+  Rng rng(31);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  std::vector<std::string> kernels;
+  const auto [result, fired] =
+      multiply_with_large_fault(a, b, small_config(), &kernels);
+
+  ASSERT_TRUE(fired);
+  EXPECT_GE(result.panel_recomputes, 1u);
+  // The tile replay runs inside gemm_fused, so the end-of-product check is
+  // clean and needs no re-check.
+  EXPECT_TRUE(result.report.clean());
+  EXPECT_EQ(kernels, kCleanKernels);
+}
+
+TEST(Aabft, DetectionOnlyLaunchesNoRepairKernel) {
+  Rng rng(31);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  AabftConfig config = small_config();
+  config.correct_errors = false;
+  std::vector<std::string> kernels;
+  const auto [result, fired] =
+      multiply_with_large_fault(a, b, config, &kernels);
+
+  ASSERT_TRUE(fired);
+  EXPECT_TRUE(result.uncorrectable);
+  EXPECT_EQ(result.recomputations, 0u);
+  EXPECT_EQ(kernels, kCleanKernels);
+}
+
+TEST(Aabft, SuppliedEncodeOfASkipsItsEncodeKernel) {
+  Rng rng(61);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  Launcher launcher;
+  AabftMultiplier mult(launcher, small_config());
+  const AabftResult fresh = mult.multiply(a, b).value();
+  const auto a_light = aabft::abft::encode_columns_light(
+      launcher, a, aabft::abft::PartitionedCodec(16), 2);
+  launcher.clear_launch_log();
+
+  const AabftResult cached = mult.multiply(a, b, &a_light).value();
+  const std::vector<std::string> expected = {"encode_b_light", "gemm_fused",
+                                             "check"};
+  EXPECT_EQ(kernel_names(launcher), expected);
+  EXPECT_EQ(cached.c, fresh.c);
+}
+
+TEST(Aabft, CacheVerifyReencodesEveryNthSuppliedA) {
+  Rng rng(62);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  Launcher launcher;
+  const auto a_light = aabft::abft::encode_columns_light(
+      launcher, a, aabft::abft::PartitionedCodec(16), 2);
+  AabftConfig config = small_config();
+  config.cache_verify_every = 2;
+  AabftMultiplier mult(launcher, config);
+
+  // The first supplied encode is checked against a fresh one, the second
+  // is trusted.
+  launcher.clear_launch_log();
+  (void)mult.multiply(a, b, &a_light).value();
+  EXPECT_EQ(kernel_names(launcher), kCleanKernels);
+  launcher.clear_launch_log();
+  (void)mult.multiply(a, b, &a_light).value();
+  const std::vector<std::string> trusted = {"encode_b_light", "gemm_fused",
+                                            "check"};
+  EXPECT_EQ(kernel_names(launcher), trusted);
 }
 
 TEST(Aabft, RejectsIndivisibleDimensions) {

@@ -1,8 +1,11 @@
 // Baseline scheme tests: fixed-bound ABFT, SEA-ABFT (bound formula and
-// detection), TMR voting, plain encode kernels.
+// detection), TMR voting, plain encode kernels, and the kernels each scheme
+// launches.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "baselines/fixed_abft.hpp"
 #include "baselines/plain_encode.hpp"
@@ -28,6 +31,13 @@ using aabft::linalg::Matrix;
 using aabft::linalg::naive_matmul;
 using aabft::linalg::uniform_matrix;
 
+std::vector<std::string> kernel_names(const Launcher& launcher) {
+  std::vector<std::string> names;
+  for (const auto& entry : launcher.launch_log())
+    names.push_back(entry.kernel_name);
+  return names;
+}
+
 TEST(PlainEncode, MatchesHostCodec) {
   Rng rng(1);
   const PartitionedCodec codec(8);
@@ -51,6 +61,21 @@ TEST(FixedAbft, CleanRunWithReasonableEpsilon) {
   const auto result = mult.multiply(a, b);
   EXPECT_FALSE(result.error_detected());
   EXPECT_EQ(result.c, naive_matmul(a, b, false));
+}
+
+TEST(FixedAbft, LaunchesEncodeProductAndCheckInOrder) {
+  Rng rng(13);
+  FixedAbftConfig config;
+  config.bs = 8;
+  config.epsilon = 1e-10;
+  Launcher launcher;
+  FixedAbftMultiplier mult(launcher, config);
+  const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  (void)mult.multiply(a, b);
+  const std::vector<std::string> expected = {
+      "encode_a_plain", "encode_b_plain", "gemm", "check_fixed"};
+  EXPECT_EQ(kernel_names(launcher), expected);
 }
 
 TEST(FixedAbft, TooTightEpsilonFalsePositives) {
@@ -177,6 +202,23 @@ TEST(SeaAbft, NormKernelsAreLaunched) {
   ASSERT_EQ(launcher.launch_log().size(), 2u);
   EXPECT_EQ(launcher.launch_log()[0].kernel_name, "row_norms");
   EXPECT_EQ(launcher.launch_log()[1].kernel_name, "col_norms");
+}
+
+TEST(SeaAbft, LaunchesEncodeNormsProductAndCheckInOrder) {
+  Rng rng(14);
+  SeaAbftConfig config;
+  config.bs = 8;
+  Launcher launcher;
+  SeaAbftMultiplier mult(launcher, config);
+  const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  (void)mult.multiply(a, b);
+  // The norms of the encoded operands feed the bounds; they are taken
+  // before the product.
+  const std::vector<std::string> expected = {
+      "encode_a_plain", "encode_b_plain", "row_norms", "col_norms", "gemm",
+      "check_sea"};
+  EXPECT_EQ(kernel_names(launcher), expected);
 }
 
 TEST(Tmr, CleanVoteIsUnanimous) {

@@ -1,8 +1,9 @@
 // Protected GEMV tests: correctness, detection, recompute recovery, reuse of
-// the encoding across many products.
+// the encoding across many products, and the kernels each stage launches.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "abft/gemv.hpp"
@@ -77,6 +78,29 @@ TEST(Gemv, EncodingIsReusedAcrossProducts) {
   (void)gemv.multiply(x);
   // Each multiply adds gemv + pmax_x + check = 3 launches, no re-encode.
   EXPECT_EQ(launcher.launch_log().size(), launches_after_setup + 6);
+}
+
+TEST(Gemv, LaunchesEncodeOnceThenProductPmaxAndCheck) {
+  Rng rng(4);
+  const Matrix a = uniform_matrix(32, 32, -1.0, 1.0, rng);
+  Launcher launcher;
+  const auto kernel_names = [&launcher] {
+    std::vector<std::string> names;
+    for (const auto& entry : launcher.launch_log())
+      names.push_back(entry.kernel_name);
+    return names;
+  };
+  // Construction encodes A with Algorithm 1 and its p-max reduction.
+  ProtectedGemv gemv(launcher, a, cfg());
+  const std::vector<std::string> setup = {"encode_a", "reduce_pmax_a"};
+  EXPECT_EQ(kernel_names(), setup);
+
+  launcher.clear_launch_log();
+  std::vector<double> x(32, 1.0);
+  (void)gemv.multiply(x);
+  const std::vector<std::string> product = {"gemv", "gemv_pmax_x",
+                                            "gemv_check"};
+  EXPECT_EQ(kernel_names(), product);
 }
 
 TEST(Gemv, DetectsInjectedFaultAndRecovers) {

@@ -1,6 +1,7 @@
 // Transient-fault recomputation fallback tests.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "abft/aabft.hpp"
@@ -18,6 +19,26 @@ using aabft::abft::AabftMultiplier;
 using aabft::linalg::Matrix;
 using aabft::linalg::naive_matmul;
 using aabft::linalg::uniform_matrix;
+
+std::vector<std::string> kernel_names(const Launcher& launcher) {
+  std::vector<std::string> names;
+  for (const auto& entry : launcher.launch_log())
+    names.push_back(entry.kernel_name);
+  return names;
+}
+
+/// Two one-shot final-add faults in block (0, 0)'s columns 0 and 1: the
+/// block's mismatches cannot be localised to one element.
+void arm_two_faults_in_one_block(FaultController& controller) {
+  std::vector<FaultConfig> faults(2);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    faults[i].site = FaultSite::kFinalAdd;
+    faults[i].sm_id = 0;
+    faults[i].module_id = i;
+    faults[i].error_vec = 1ULL << 60;
+  }
+  controller.arm_many(faults);
+}
 
 /// Two faults in the SAME result block cannot be localised; the recompute
 /// fallback must recover (the faults are one-shot, so the re-execution is
@@ -127,6 +148,60 @@ TEST(Recompute, CleanRunNeverRecomputes) {
   AabftMultiplier mult(launcher, config);
   const auto result = mult.multiply(a, b).value();
   EXPECT_EQ(result.recomputations, 0u);
+}
+
+// The full re-run rung launches one product over the materialised encoded
+// operands and one check, and nothing else.
+TEST(Recompute, FullRerunLaunchesOneProductAndOneCheck) {
+  Rng rng(5);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  Launcher launcher;
+  FaultController controller;
+  launcher.set_fault_controller(&controller);
+  arm_two_faults_in_one_block(controller);
+  AabftConfig config;
+  config.bs = 32;
+  AabftMultiplier mult(launcher, config);
+  const auto result = mult.multiply(a, b).value();
+  launcher.set_fault_controller(nullptr);
+
+  ASSERT_EQ(controller.fired_count(), 2u);
+  EXPECT_TRUE(result.corrections.empty());
+  EXPECT_EQ(result.recomputations, 1u);
+  const std::vector<std::string> expected = {
+      "encode_a_light", "encode_b_light", "gemm_fused", "check", "gemm",
+      "check"};
+  EXPECT_EQ(kernel_names(launcher), expected);
+  EXPECT_EQ(result.c, naive_matmul(a, b, false));
+}
+
+// The block rung re-derives only the flagged block, bit-exactly, and makes
+// the full re-run unnecessary.
+TEST(Recompute, BlockRungLaunchesRecomputeBlocksInsteadOfAProduct) {
+  Rng rng(6);
+  const Matrix a = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  const Matrix b = uniform_matrix(64, 64, -1.0, 1.0, rng);
+  Launcher launcher;
+  FaultController controller;
+  launcher.set_fault_controller(&controller);
+  arm_two_faults_in_one_block(controller);
+  AabftConfig config;
+  config.bs = 32;
+  config.max_block_recomputes = 1;
+  AabftMultiplier mult(launcher, config);
+  const auto result = mult.multiply(a, b).value();
+  launcher.set_fault_controller(nullptr);
+
+  ASSERT_EQ(controller.fired_count(), 2u);
+  EXPECT_EQ(result.block_recomputes, 1u);
+  EXPECT_EQ(result.recomputations, 0u);
+  EXPECT_TRUE(result.recheck_clean);
+  const std::vector<std::string> expected = {
+      "encode_a_light", "encode_b_light", "gemm_fused", "check",
+      "recompute_blocks", "check"};
+  EXPECT_EQ(kernel_names(launcher), expected);
+  EXPECT_EQ(result.c, naive_matmul(a, b, false));
 }
 
 }  // namespace
